@@ -1,6 +1,6 @@
 // Figure 6 — slowdown of fault-tolerant systems normalized to the vanilla
 // baseline, across the Table-1 models, on the CPU (a) and GPU (b) testbed
-// profiles. Regenerated from the calibrated cost model (see DESIGN.md).
+// profiles. Regenerated from the calibrated cost model (src/sim/cost_model.h).
 //
 // Paper shapes: slowdown grows with model size then saturates; SSMW <
 // crash-tolerant < MSMW < decentralized; CPU slowdowns exceed GPU ones.

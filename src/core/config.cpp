@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "attacks/registry.h"
+#include "core/round_plan.h"
 #include "gars/gar.h"
 #include "net/codec.h"
 #include "net/conditions.h"
@@ -51,69 +52,36 @@ void DeploymentConfig::validate() const {
   // here, never run silently uncompressed (same contract as the network
   // spec below).
   (void)net::CodecSpec::parse(codec);
-  if (transport == "tcp") {
-    // These knobs read or mutate *other* replicas' in-memory state from the
-    // reporting rank — impossible once every node is its own process. The
-    // alignment probe walks every correct server's parameter vector, and
-    // crash_primary_at imperatively crashes the primary in a cluster the
-    // backups don't share (scheduled `churn:` crashes are fine: every
-    // process derives the same schedule from the config).
-    if (alignment_every != 0) {
-      throw std::invalid_argument(
-          "config: alignment_every requires transport=inproc (the probe "
-          "reads every replica's parameters in one address space)");
-    }
-    if (crash_primary_at != 0) {
-      throw std::invalid_argument(
-          "config: crash_primary_at requires transport=inproc — use a "
-          "churn: schedule for cross-process crash injection");
-    }
+  if (transport == "tcp" && alignment_every != 0) {
+    // The probe walks every correct replica's parameter vector from the
+    // reporting rank — impossible once every node is its own process.
+    throw std::invalid_argument(
+        "config: alignment_every requires transport=inproc (the probe "
+        "reads every replica's parameters in one address space)");
   }
   // GAR existence (spec string parses, options are known and well-typed)
-  // plus resilience inequalities at the effective input counts. Probing the
-  // registry with a throwaway construction surfaces a bad spec at config
-  // time instead of mid-training.
-  switch (deployment) {
-    case Deployment::kVanilla:
-    case Deployment::kCrashTolerant:
-      break;  // averaging only
-    case Deployment::kSsmw: {
-      const std::size_t q = asynchronous ? nw - fw : nw;
-      if (q < gars::gar_min_n(gradient_gar, fw)) {
-        throw std::invalid_argument("config: " + gradient_gar +
-                                    " cannot tolerate fw with this nw");
-      }
-      (void)gars::make_gar(gradient_gar, q, fw);
-      break;
+  // plus resilience inequalities at each stage's input count — the same
+  // plan the round loop executes. Probing the registry with a throwaway
+  // construction surfaces a bad spec at config time instead of
+  // mid-training.
+  const RoundPlan plan = round_plan(*this);
+  const auto check_stage = [](const PullStage& stage, std::size_t n) {
+    const std::size_t min_n = gars::gar_min_n(stage.gar, stage.f);
+    if (n < min_n) {
+      throw std::invalid_argument(
+          "config: " + std::string(stage.cohort) + " GAR '" + stage.gar +
+          "' needs " + std::to_string(min_n) + " inputs at f=" +
+          std::to_string(stage.f) + ", but its quorum supplies " +
+          std::to_string(n));
     }
-    case Deployment::kMsmw: {
-      const std::size_t qw = nw - fw;
-      if (qw < gars::gar_min_n(gradient_gar, fw)) {
-        throw std::invalid_argument("config: gradient GAR precondition "
-                                    "violated (qw too small)");
-      }
-      (void)gars::make_gar(gradient_gar, qw, fw);
-      // Model aggregation sees (peers pulled + own state) inputs.
-      const std::size_t qps = asynchronous ? nps - fps : nps;
-      if (qps < gars::gar_min_n(model_gar, fps)) {
-        throw std::invalid_argument("config: model GAR precondition violated "
-                                    "(qps too small)");
-      }
-      (void)gars::make_gar(model_gar, qps, fps);
-      break;
-    }
-    case Deployment::kDecentralized: {
-      const std::size_t q = nw - fw;
-      if (q < gars::gar_min_n(gradient_gar, fw) ||
-          q < gars::gar_min_n(model_gar, fw)) {
-        throw std::invalid_argument(
-            "config: decentralized GAR precondition violated");
-      }
-      (void)gars::make_gar(gradient_gar, q, fw);
-      (void)gars::make_gar(model_gar, q, fw);
-      break;
-    }
-  }
+    (void)gars::make_gar(stage.gar, n, stage.f);
+  };
+  // MSMW's gradient rule must also hold when the Byzantine workers are
+  // silent, since every replica's step depends on it.
+  check_stage(plan.gradients, deployment == Deployment::kMsmw
+                                  ? nw - fw
+                                  : plan.gradients.inputs());
+  if (plan.models) check_stage(*plan.models, plan.models->inputs());
   // Adversary plans: grammar, attack existence, option types and plan shape
   // against the declared Byzantine cohorts — a typo'd attack spec must fail
   // here with a pointed message, not as an unknown-name throw when the
@@ -132,6 +100,16 @@ void DeploymentConfig::validate() const {
   const net::NetworkConditions conditions =
       net::NetworkConditions::parse(network);
   conditions.validate(total_nodes());
+  if (transport == "tcp" && iterations > 0 &&
+      conditions.churn_down(0, iterations - 1)) {
+    // Rank 0 alone writes the result blob, from its own replica: a
+    // schedule that has it down at the end would report a dead state.
+    throw std::invalid_argument(
+        "config: transport=tcp needs rank 0 up at the last iteration (it "
+        "alone writes the result), but the churn schedule has it down at "
+        "iteration " +
+        std::to_string(iterations - 1));
+  }
   // A churn schedule that recovers a server replica needs a checkpoint to
   // state-transfer from — without one the replica would rejoin with its
   // stale pre-crash parameters and quietly drag the cohort backwards.

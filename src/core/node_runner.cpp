@@ -335,10 +335,16 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
     ports_arg += std::to_string(listeners[r].port);
   }
 
-  char dir_template[] = "/tmp/garfield_mp.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
+  // Config and result files live in a private directory under $TMPDIR
+  // (the POSIX convention), falling back to /tmp.
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string parent =
+      tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+  std::string dir_template = parent + "/garfield_mp.XXXXXX";
+  if (::mkdtemp(dir_template.data()) == nullptr) {
+    const std::string err = std::strerror(errno);
     for (const Listener& l : listeners) ::close(l.fd);
-    throw std::runtime_error("mkdtemp failed");
+    throw std::runtime_error("mkdtemp failed in '" + parent + "': " + err);
   }
   const std::string dir(dir_template);
   const std::string config_path = dir + "/deployment.conf";
@@ -499,7 +505,7 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
       return fail("ready barrier timed out", 3);
     }
 
-    const std::size_t drivers = detail::driver_count(config);
+    const std::size_t drivers = rt.plan.drivers;
     if (options.rank < drivers) {
       detail::run_loop(rt, options.rank);
       transport->announce_done();

@@ -95,11 +95,12 @@ class Server {
   /// validate(). Default: identity.
   void set_codec(net::CodecSpec spec) { codec_ = net::Codec(spec); }
 
-  /// Switch peer-facing serving to step-tagged mode (see file comment).
-  /// Call before the driving loops start; publish_model / publish_aggr_grad
-  /// then gate what peers can pull. Untagged mode (the default) serves the
-  /// live state, preserving the standalone-object behaviour.
-  void enable_step_tagged_serving(bool models, bool aggr_grads);
+  /// Switch model serving to step-tagged mode (see file comment). Call
+  /// before the driving loops start; publish_model then gates what peers
+  /// can pull. Untagged mode (the default) serves the live state,
+  /// preserving the standalone-object behaviour. Gossip is always
+  /// step-tagged.
+  void enable_step_tagged_serving();
 
   /// Publish the current snapshot as "this replica's model for iteration
   /// t"; peers pulling get_models(t, q) are answered from a small ring of
@@ -112,10 +113,6 @@ class Server {
   /// Publish "no contribution" for gossip tag `tag` (the round was
   /// skipped); peers receive a decline instead of retrying forever.
   void skip_aggr_grad(std::uint64_t tag);
-
-  /// Publish this node's latest aggregated gradient for peers to pull
-  /// (untagged legacy path; step-tagged runs use publish_aggr_grad).
-  void set_latest_aggr_grad(net::Payload grad);
 
   /// SGD step with an aggregated gradient (Equation (2)).
   void update_model(const net::Payload& aggregated_gradient);
@@ -263,10 +260,7 @@ class Server {
   tensor::FlatVector gossip_residual_ GARFIELD_GUARDED_BY(mutex_);
   /// Immutable snapshot, swapped on write.
   net::PayloadPtr params_ GARFIELD_GUARDED_BY(mutex_);
-  /// Untagged legacy gossip slot.
-  net::PayloadPtr latest_aggr_grad_ GARFIELD_GUARDED_BY(mutex_);
   bool tagged_models_ GARFIELD_GUARDED_BY(mutex_) = false;
-  bool tagged_aggr_grads_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<TaggedEntry> model_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<TaggedEntry> aggr_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::uint64_t step_ GARFIELD_GUARDED_BY(mutex_) = 0;

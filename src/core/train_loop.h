@@ -19,9 +19,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
+#include "core/round_plan.h"
 #include "core/server.h"
 #include "core/trainer.h"
 #include "core/worker.h"
@@ -36,6 +38,8 @@ namespace garfield::core::detail {
 /// Everything a deployment run needs to keep alive while threads execute.
 struct Runtime {
   DeploymentConfig config;
+  /// Built from `config` by build_runtime(); every loop executes it.
+  RoundPlan plan;
   /// Parsed once at build time; the loops query its churn schedule every
   /// iteration (the cluster holds its own copy for delivery decisions).
   net::NetworkConditions conditions;
@@ -47,20 +51,29 @@ struct Runtime {
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<std::unique_ptr<Worker>> workers;
   data::Batch test;
-  std::vector<std::vector<EvalPoint>> curves;  // one per server
   util::Mutex alignment_mutex;
   std::vector<AlignmentSample> alignment GARFIELD_GUARDED_BY(alignment_mutex);
-  /// Reporting replica's per-iteration gradient reply counts (s == 0 loop
-  /// thread only — no lock needed).
-  std::vector<std::size_t> reporting_gradient_counts;
+  /// What the reporting replica of each iteration recorded (reporter_at()).
+  /// Under churn the reporter role moves between drivers whose loops are
+  /// not in lockstep, so records arrive out of order; harvest() sorts them
+  /// by iteration.
+  util::Mutex report_mutex;
+  std::vector<EvalPoint> curve GARFIELD_GUARDED_BY(report_mutex);
+  /// (iteration, gradient replies) pairs.
+  std::vector<std::pair<std::size_t, std::size_t>> gradient_counts
+      GARFIELD_GUARDED_BY(report_mutex);
+  /// Iterations covered by the newest checkpoint written, so a lagging
+  /// former reporter never overwrites a newer one.
+  std::size_t checkpointed_through GARFIELD_GUARDED_BY(report_mutex) = 0;
   /// Byzantine-recovery state transfer outcomes: peer checkpoint blobs
   /// adopted after digest verification, and blobs rejected by it (a
   /// corrupt_recovery peer, a torn carrier, a dimension mismatch).
   std::atomic<std::uint64_t> state_transfers{0};
   std::atomic<std::uint64_t> state_transfer_rejects{0};
-  // Below-floor abort: the first loop that sees the churn schedule drop a
-  // cohort under its GAR floor records why and flips the flag; every loop
-  // exits at its next gate and the driver rethrows after the join.
+  // Churn abort: the first loop that sees the schedule drop a cohort under
+  // its GAR floor — or build_runtime(), when the schedule leaves no driver
+  // up to report — records why and flips the flag; every loop exits at its
+  // next gate and the driver rethrows after the join.
   std::atomic<bool> abort{false};
   util::Mutex abort_mutex;
   std::string abort_reason GARFIELD_GUARDED_BY(abort_mutex);
@@ -75,14 +88,7 @@ struct Runtime {
   return cfg.deployment == Deployment::kDecentralized;
 }
 
-/// Number of ranks that run a driving loop: every peer when decentralized,
-/// the server replicas otherwise (workers are passive RPC handlers).
-[[nodiscard]] inline std::size_t driver_count(const DeploymentConfig& cfg) {
-  return is_decentralized(cfg) ? cfg.nw : cfg.nps;
-}
-
-/// Build cluster, datasets, servers and workers for rt.config (the
-/// deployment dispatch between parameter-server and decentralized shapes).
+/// Build the plan, cluster, datasets, servers and workers for rt.config.
 /// Uses rt.transport when set.
 void build_runtime(Runtime& rt);
 
@@ -96,11 +102,12 @@ void register_recovery(Runtime& rt,
 /// checkpoint named by config.resume_from (no-op when unset).
 void maybe_resume(Runtime& rt);
 
-/// Run rank/server-index `s`'s driving loop for the configured deployment.
+/// Run driver `s`'s round loop (s < rt.plan.drivers).
 void run_loop(Runtime& rt, std::size_t s);
 
 /// Assemble the TrainResult after every driving loop has joined. Throws
-/// std::runtime_error when the run aborted (below-floor churn schedule).
+/// std::runtime_error when the run aborted (a churn schedule dropping a
+/// cohort below its GAR floor, or leaving no driver up).
 [[nodiscard]] TrainResult harvest(Runtime& rt);
 
 }  // namespace garfield::core::detail

@@ -12,8 +12,10 @@
 //  - Decentralized (Listing 3): peer-to-peer, every node is Server+Worker,
 //                       optional multi-round contraction for non-iid data.
 //
-// Every loop is executed by one thread per server/peer; workers are
-// passive RPC handlers. Evaluation probes run on the reporting replica.
+// All five run one round loop over a per-deployment plan
+// (core/round_plan.h), one thread per driving server/peer; workers are
+// passive RPC handlers. At each iteration the reporter — the lowest-id
+// driver the churn schedule keeps up — runs the evaluation probes.
 #pragma once
 
 #include <vector>
@@ -56,10 +58,11 @@ struct TrainResult {
   std::uint64_t gradients_computed = 0;
   std::vector<AlignmentSample> alignment;
   std::size_t iterations_run = 0;
-  /// The reporting replica's (server 0 / peer 0) final parameter vector,
-  /// bit-exact. Sync deployments are bitwise deterministic, so this is the
-  /// cross-backend parity probe: an `inproc` and a `tcp` run of the same
-  /// config must produce identical bytes here.
+  /// The last iteration's reporter's final parameter vector (server 0 /
+  /// peer 0 unless churn has it down), bit-exact. Sync deployments are
+  /// bitwise deterministic, so this is the cross-backend parity probe: an
+  /// `inproc` and a `tcp` run of the same config must produce identical
+  /// bytes here.
   net::Payload final_parameters;
   /// Byzantine-recovery state transfer outcomes, summed over every
   /// recovery the churn schedule drove: peer checkpoint blobs adopted
@@ -73,9 +76,9 @@ struct TrainResult {
   /// Gradient replies the reporting replica's pull returned per iteration —
   /// the live quorum trajectory. Under a churn schedule this is what the
   /// analytic plane predicts as span - count_down(span, it); compared
-  /// directly in the churn crossval tests. Empty when the reporting
-  /// replica's loop itself was churned past iterations (its counter then
-  /// skips the crash window).
+  /// directly in the churn crossval tests. One entry per iteration,
+  /// recorded by that iteration's reporter (under tcp only rank 0's own
+  /// entries reach the result — see core/node_runner.h).
   std::vector<std::size_t> reporting_gradient_counts;
 };
 

@@ -28,6 +28,8 @@ constexpr std::uint8_t kFrameReply = 2;
 constexpr std::uint8_t kFrameHello = 3;
 constexpr std::uint8_t kFrameDone = 4;
 constexpr std::uint8_t kFrameReady = 5;
+/// The sender is tearing down on purpose: its coming EOF is not a death.
+constexpr std::uint8_t kFrameBye = 6;
 
 /// How long start() waits for every sibling process to join the mesh.
 constexpr Duration kMeshDeadline{std::chrono::seconds(30)};
@@ -156,6 +158,7 @@ TcpTransport::TcpTransport(const Options& options)
     util::MutexLock lock(control_mutex_);
     ready_.assign(nodes_, false);
     done_.assign(nodes_, false);
+    leaving_.assign(nodes_, false);
   }
 }
 
@@ -501,15 +504,18 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       break;
     }
     case kFrameReady:
-    case kFrameDone: {
+    case kFrameDone:
+    case kFrameBye: {
       const std::uint32_t r = reader.u32();
       if (r >= nodes_) throw WireError("tcp: bogus control rank");
       {
         util::MutexLock lock(control_mutex_);
         if (type == kFrameReady) {
           ready_[r] = true;
-        } else {
+        } else if (type == kFrameDone) {
           done_[r] = true;
+        } else {
+          leaving_[r] = true;
         }
       }
       control_cv_.notify_all();
@@ -537,9 +543,15 @@ void TcpTransport::resolve_pending(std::uint64_t cid, PayloadPtr payload) {
 
 void TcpTransport::on_peer_down(std::size_t peer_rank) {
   // Mid-run peer death is fail-silent to the protocol but must never be
-  // silent to the operator: name the dead rank. During shutdown() the EOFs
-  // are expected teardown, not deaths.
-  if (!down_.load(std::memory_order_relaxed)) {
+  // silent to the operator: name the dead rank. EOFs during our own
+  // shutdown(), or from a peer that announced its teardown (a bye frame
+  // precedes its EOF on the same stream), are not deaths.
+  bool leaving = false;
+  {
+    util::MutexLock lock(control_mutex_);
+    leaving = leaving_[peer_rank];
+  }
+  if (!leaving && !down_.load(std::memory_order_relaxed)) {
     peer_deaths_.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr,
                  "[garfield:tcp] rank %zu: peer rank %zu died mid-run "
@@ -575,9 +587,11 @@ void TcpTransport::on_peer_down(std::size_t peer_rank) {
 
 void TcpTransport::shutdown() {
   if (down_.exchange(true)) return;
-  // Sockets first: readers see EOF, resolve their peers' pending calls,
-  // and exit. Join them before draining the pool — readers submit
+  // Announce the teardown, so peers read the EOF that follows as a clean
+  // exit. Then sockets: readers see EOF, resolve their peers' pending
+  // calls, and exit. Join them before draining the pool — readers submit
   // delivery tasks and must never race pool teardown.
+  broadcast_control(kFrameBye);
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (!peers_[r]) continue;
     peers_[r]->alive.store(false, std::memory_order_relaxed);

@@ -28,7 +28,8 @@
 //    peer's pending calls with nullptr: fail-silence, the same shape a
 //    crashed node has — but no longer silent to the operator: the death
 //    is counted (NetStats::peer_deaths) and announced on stderr naming
-//    the local and dead ranks.
+//    the local and dead ranks. A process tearing down on purpose sends a
+//    bye frame first, so its EOF is not counted.
 //
 // Beyond the Transport contract the backend exposes two process-level
 // barriers the orchestrator drives: a ready barrier (no request may arrive
@@ -164,6 +165,8 @@ class TcpTransport final : public Transport {
   util::CondVar control_cv_;
   std::vector<bool> ready_ GARFIELD_GUARDED_BY(control_mutex_);
   std::vector<bool> done_ GARFIELD_GUARDED_BY(control_mutex_);
+  /// Peers that announced their own teardown (bye frame).
+  std::vector<bool> leaving_ GARFIELD_GUARDED_BY(control_mutex_);
 
   // Same delayed-execution machinery as InProcTransport; shutdown() stops
   // the wheel, drains the pool, then closes sockets.

@@ -2,7 +2,8 @@
 //
 // Wall-clock on one container cannot reproduce a 24-node Grid5000 cluster,
 // so the throughput figures are regenerated from a calibrated cost model
-// (see DESIGN.md "two execution planes"). The model composes, per training
+// (the analytic plane; README "Network conditions" describes how it shares
+// one spec with the live cluster). The model composes, per training
 // iteration, the same three components the paper's breakdown reports
 // (Fig 7/16): computation, communication (incl. serialization) and robust
 // aggregation. Constants are calibrated against the paper's reported

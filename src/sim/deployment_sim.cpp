@@ -6,17 +6,6 @@
 
 namespace garfield::sim {
 
-std::string to_string(SimDeployment d) {
-  switch (d) {
-    case SimDeployment::kVanilla: return "vanilla";
-    case SimDeployment::kCrashTolerant: return "crash_tolerant";
-    case SimDeployment::kSsmw: return "ssmw";
-    case SimDeployment::kMsmw: return "msmw";
-    case SimDeployment::kDecentralized: return "decentralized";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Deserialization of many concurrent replies is spread over this many
@@ -168,27 +157,34 @@ double stage_time(const SimSetup& s, double nic_floats, double ser_floats,
   return t;
 }
 
-/// Gradient quorum actually awaited.
-std::size_t gradient_quorum(const SimSetup& s) {
-  return s.asynchronous ? s.nw - s.fw : s.nw;
+/// The live plane's plan for the simulated shape.
+core::RoundPlan plan_of(const SimSetup& s) {
+  core::DeploymentConfig cfg;
+  cfg.deployment = s.deployment;
+  cfg.nw = s.nw;
+  cfg.fw = s.fw;
+  cfg.nps = s.nps;
+  cfg.fps = s.fps;
+  cfg.gradient_gar = s.gradient_gar;
+  cfg.model_gar = s.model_gar;
+  cfg.asynchronous = s.asynchronous;
+  cfg.contraction_steps = s.contraction_steps;
+  return core::round_plan(cfg);
 }
 
-IterationBreakdown simulate_parameter_server(const SimSetup& s) {
+IterationBreakdown simulate_parameter_server(const SimSetup& s,
+                                             const core::RoundPlan& plan) {
   const double dd = double(s.d);
   const double nw = double(s.nw);
   IterationBreakdown b;
 
-  // Reporting server 0 pulls over the worker id span [nps, nps + nw) —
-  // the same node layout the live trainer builds.
-  const std::size_t q = gradient_quorum(s);
-  const StageNet worker_net = resolve_pull(s, 0, s.nps, s.nps + s.nw, q);
+  // The reporting server 0 pulls the plan's gradient stage.
+  const core::PullStage& grads = plan.gradients;
+  const std::size_t q = grads.q;
+  const StageNet worker_net = resolve_pull(s, 0, grads.lo, grads.hi, q);
 
   // Servers pulling gradients this iteration (they attach their model).
-  double pulling_servers = 1.0;
-  if (s.deployment == SimDeployment::kCrashTolerant ||
-      s.deployment == SimDeployment::kMsmw) {
-    pulling_servers = double(s.nps);
-  }
+  const double pulling_servers = double(plan.drivers);
 
   // Stage A: model distribution. Vanilla/SSMW/crash: workers learn the
   // model from one (primary) server; MSMW: every replica sends its own.
@@ -197,8 +193,7 @@ IterationBreakdown simulate_parameter_server(const SimSetup& s) {
   // quorum's workers must receive the model, so the stage rides the same
   // degraded edges as the gradient pull (without double-counting the
   // quorum waits — those bind once, at collection).
-  const double model_senders =
-      s.deployment == SimDeployment::kMsmw ? double(s.nps) : 1.0;
+  const double model_senders = plan.models ? double(plan.drivers) : 1.0;
   b.communication += stage_time(
       s, std::max(nw * dd, model_senders * dd),  // server out vs worker in
       (1.0 + model_senders) * dd,
@@ -220,12 +215,7 @@ IterationBreakdown simulate_parameter_server(const SimSetup& s) {
       pulling_servers * double(q) * dd, worker_net);
 
   // Stage D: aggregation of gradients.
-  const std::string grad_gar =
-      (s.deployment == SimDeployment::kVanilla ||
-       s.deployment == SimDeployment::kCrashTolerant)
-          ? "average"
-          : s.gradient_gar;
-  const double agg = gar_time(grad_gar, q, s.fw, s.d, s.device);
+  const double agg = gar_time(grads.gar, q, grads.f, s.d, s.device);
   if (s.native_runtime) {
     // reduce()-style streaming aggregation hides behind communication.
     b.aggregation += 0.1 * agg;
@@ -233,31 +223,31 @@ IterationBreakdown simulate_parameter_server(const SimSetup& s) {
     b.aggregation += agg;
   }
 
-  // Stage E (MSMW only): model exchange among replicas + model GAR. The
-  // reporting replica pulls q_models - 1 peer states over the server span.
-  if (s.deployment == SimDeployment::kMsmw) {
-    const double peers = double(s.nps - 1);
-    const std::size_t q_models = s.asynchronous ? s.nps - s.fps : s.nps;
-    const StageNet server_net =
-        resolve_pull(s, 0, 0, s.nps, q_models > 0 ? q_models - 1 : 0);
+  // Stage E (MSMW only): model exchange among replicas + model GAR over
+  // the plan's model stage.
+  if (plan.models) {
+    const core::PullStage& m = *plan.models;
+    const double peers = double(m.hi - m.lo - 1);
+    const StageNet server_net = resolve_pull(s, 0, m.lo, m.hi, m.q);
     b.communication += stage_time(s, peers * dd,
                                   dd + peers * dd / kSerParallelism,
                                   double(s.nps) * peers * dd, server_net);
-    b.aggregation += gar_time(s.model_gar, q_models, s.fps, s.d, s.device);
+    b.aggregation += gar_time(m.gar, m.inputs(), m.f, s.d, s.device);
   }
   return b;
 }
 
-IterationBreakdown simulate_decentralized(const SimSetup& s) {
+IterationBreakdown simulate_decentralized(const SimSetup& s,
+                                          const core::RoundPlan& plan) {
   const double dd = double(s.d);
   const double n = double(s.nw);
   const double peers = n - 1.0;
-  const std::size_t q = s.nw - s.fw;
+  const core::PullStage& grads = plan.gradients;
   IterationBreakdown b;
 
-  // Every exchange round is a fastest-q pull by the reporting peer over
-  // the whole peer span [0, nw).
-  const StageNet peer_net = resolve_pull(s, 0, 0, s.nw, q);
+  // Every exchange round is charged the reporting peer's fastest-q
+  // resolution of the gradient stage, over the whole peer span [0, nw).
+  const StageNet peer_net = resolve_pull(s, 0, grads.lo, grads.hi, grads.q);
 
   // Gradient computation happens at every peer in parallel.
   const double compute = s.device.iteration_overhead +
@@ -270,29 +260,34 @@ IterationBreakdown simulate_decentralized(const SimSetup& s) {
   const double all_to_all_ser = dd + peers * dd / kSerParallelism;
   b.communication +=
       stage_time(s, peers * dd, all_to_all_ser, all_to_all_total, peer_net);
-  b.aggregation += gar_time(s.gradient_gar, q, s.fw, s.d, s.device);
+  b.aggregation += gar_time(grads.gar, grads.q, grads.f, s.d, s.device);
 
   // Non-iid contraction rounds: gossip the aggregated gradients again.
-  for (std::size_t r = 0; r < s.contraction_steps; ++r) {
+  const core::PullStage& gossip = plan.gossip;
+  for (std::size_t r = 0; r < plan.gossip_rounds; ++r) {
     b.communication += stage_time(s, peers * dd, all_to_all_ser,
                                   all_to_all_total, peer_net);
-    b.aggregation += gar_time(s.gradient_gar, q, s.fw, s.d, s.device);
+    b.aggregation +=
+        gar_time(gossip.gar, gossip.inputs(), gossip.f, s.d, s.device);
   }
 
   // All-to-all model exchange + model aggregation.
+  const core::PullStage& models = *plan.models;
   b.communication +=
       stage_time(s, peers * dd, all_to_all_ser, all_to_all_total, peer_net);
-  b.aggregation += gar_time(s.model_gar, q, s.fw, s.d, s.device);
+  b.aggregation +=
+      gar_time(models.gar, models.inputs(), models.f, s.d, s.device);
   return b;
 }
 
 }  // namespace
 
 IterationBreakdown simulate_iteration(const SimSetup& setup) {
+  const core::RoundPlan plan = plan_of(setup);
   IterationBreakdown b =
       setup.deployment == SimDeployment::kDecentralized
-          ? simulate_decentralized(setup)
-          : simulate_parameter_server(setup);
+          ? simulate_decentralized(setup, plan)
+          : simulate_parameter_server(setup, plan);
   if (setup.native_runtime) {
     // The frameworks' own distributed runtimes overlap parameter pushes
     // with gradient pulls and stream transfers; model that as halving the

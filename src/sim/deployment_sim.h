@@ -50,21 +50,17 @@
 #include <cstdint>
 #include <string>
 
+#include "core/round_plan.h"
 #include "net/conditions.h"
 #include "sim/cost_model.h"
 #include "sim/model_spec.h"
 
 namespace garfield::sim {
 
-enum class SimDeployment {
-  kVanilla,
-  kCrashTolerant,
-  kSsmw,
-  kMsmw,
-  kDecentralized,
-};
-
-[[nodiscard]] std::string to_string(SimDeployment d);
+/// The live plane's deployment enum: each pull stage's span, quorum and
+/// GAR come from the same core::round_plan() the live loop executes.
+using SimDeployment = core::Deployment;
+using core::to_string;
 
 struct SimSetup {
   SimDeployment deployment = SimDeployment::kSsmw;
@@ -72,7 +68,7 @@ struct SimSetup {
   std::size_t batch_size = 32;   ///< per-worker mini-batch
   std::size_t nw = 18;           ///< workers (or peers when decentralized)
   std::size_t fw = 3;
-  std::size_t nps = 6;           ///< ignored by vanilla/ssmw/decentralized
+  std::size_t nps = 6;           ///< servers (vanilla/ssmw drive one)
   std::size_t fps = 1;
   std::string gradient_gar = "bulyan";
   std::string model_gar = "median";

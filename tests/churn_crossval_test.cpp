@@ -332,7 +332,7 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
                     {}, {1});
   gc::Server replica(1, cluster, garfield::nn::make_model("tiny_mlp", r1),
                      {}, {}, {0});
-  replica.enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/false);
+  replica.enable_step_tagged_serving();
   const std::vector<gn::NodeId> peers{1};
   const auto pull = [&](std::uint64_t tag) {
     return cluster.collect(0, peers, gc::kGetModel, tag, nullptr, 1,

@@ -242,12 +242,13 @@ TEST(ServerWorker, AggrGradGossip) {
                 {1});
   gc::Server s1(1, cluster, garfield::nn::make_model("tiny_mlp", r2), {}, {},
                 {0});
-  // Before publication: no reply, collect returns empty.
+  // A skipped round publishes no contribution: collect returns empty.
+  s1.skip_aggr_grad(0);
   auto none = s0.get_aggr_grads(0, 1, 0);
   EXPECT_TRUE(none.empty());
   gn::Payload grad(s1.dimension(), 2.5F);
-  s1.set_latest_aggr_grad(grad);
-  auto got = s0.get_aggr_grads(0, 1, 0);
+  s1.publish_aggr_grad(1, grad);
+  auto got = s0.get_aggr_grads(1, 1, 0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], grad);
 }
@@ -264,10 +265,10 @@ TEST(ServerWorker, IngressValidationRejectsMalformedPayloads) {
   gc::Server s2(2, cluster, garfield::nn::make_model("tiny_mlp", r3), {}, {},
                 {0, 1});
   // s1 gossips a wrong-dimension vector, s2 a NaN-poisoned one.
-  s1.set_latest_aggr_grad(gn::Payload{1.0F, 2.0F});
+  s1.publish_aggr_grad(0, gn::Payload{1.0F, 2.0F});
   gn::Payload poisoned(s2.dimension(), 1.0F);
   poisoned[3] = std::numeric_limits<float>::quiet_NaN();
-  s2.set_latest_aggr_grad(poisoned);
+  s2.publish_aggr_grad(0, poisoned);
   auto got = s0.get_aggr_grads(0, 2, 0);
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(s0.rejected_payloads(), 2u);
@@ -346,7 +347,7 @@ TEST(Deployments, CrashTolerantSurvivesPrimaryCrash) {
   cfg.deployment = gc::Deployment::kCrashTolerant;
   cfg.nw = 4;
   cfg.nps = 3;
-  cfg.crash_primary_at = 40;
+  cfg.network = "churn:crash=0,at_iter=40";  // the primary fail-stops
   const gc::TrainResult result = gc::train(cfg);
   // Failover replica finishes the run and reaches good accuracy.
   EXPECT_GT(result.final_accuracy, 0.7);

@@ -95,6 +95,9 @@ void expect_bitwise(const gc::TrainResult& inproc, const gc::TrainResult& tcp,
   EXPECT_EQ(inproc.iterations_run, tcp.iterations_run) << what;
   EXPECT_EQ(inproc.reporting_gradient_counts, tcp.reporting_gradient_counts)
       << what;
+  // Every rank of a healthy run tears down on purpose: none of those EOFs
+  // is a peer death.
+  EXPECT_EQ(tcp.net_stats.peer_deaths, 0u) << what;
   // Deliberately NOT compared: rejected_payloads / gradients_served /
   // gradients_computed. Those sum over the harvesting process's local
   // objects, and under tcp the serving happened in other ranks' processes
@@ -222,15 +225,15 @@ TEST(TransportBackend, ValidateRejectsWhatTcpCannotHonor) {
   cfg.transport = "tcp";
   EXPECT_NO_THROW(cfg.validate());
   // The alignment probe reads every replica's parameters in one address
-  // space; imperative primary crashes don't propagate across per-process
-  // lifecycle FSMs. Both are inproc-only and must fail loudly at
+  // space, and rank 0 alone writes the result, so a schedule that has it
+  // down at the end cannot be reported. Both must fail loudly at
   // validate(), not silently diverge at runtime.
   cfg.alignment_every = 2;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.alignment_every = 0;
-  cfg.crash_primary_at = 2;
+  cfg.network = "churn:crash=0,at_iter=2";
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.crash_primary_at = 0;
+  cfg.network = "";
   EXPECT_NO_THROW(cfg.validate());
 }
 

@@ -3,6 +3,8 @@
 // resume continuity.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,8 +20,11 @@ namespace gt = garfield::tensor;
 
 namespace {
 
+/// Per-process name: ctest runs this suite and its _serial twin at once.
 std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 }  // namespace
