@@ -3,7 +3,11 @@
 //
 // Usage: ./examples/cluster_config <config-file>
 //        ./examples/cluster_config --print-default
+//
+// A config that fails to parse or validate prints the pointed message to
+// stderr and exits 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/controller.h"
@@ -32,9 +36,7 @@ seed = 5
 # transport = tcp
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace garfield::core;
   if (argc > 1 && std::string(argv[1]) == "--print-default") {
     std::printf("%s", kDefaultConfig);
@@ -62,4 +64,15 @@ int main(int argc, char** argv) {
   std::printf("final accuracy %.3f after %zu iterations\n",
               result.final_accuracy, result.iterations_run);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

@@ -42,59 +42,14 @@ constexpr std::uint32_t kResultMagic = 0x52545247;  // "GRTR" little-endian
 // v3: bytes_saved (wire-codec compression credit).
 constexpr std::uint32_t kResultVersion = 3;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
+using net::put_u32;
+using net::put_u64;
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked little-endian reads over the result blob; a short file
-/// must surface as a pointed error, never as UB.
-struct BlobReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw std::runtime_error("node result blob truncated");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str(std::size_t n) {
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), n);
-    at += n;
-    return s;
-  }
-};
+double f64(net::ByteReader& in) { return std::bit_cast<double>(in.u64()); }
 
 void put_header(std::vector<std::uint8_t>& out, bool ok,
                 const std::string& reason) {
@@ -159,7 +114,8 @@ std::vector<std::uint8_t> encode_result(const TrainResult& r) {
 
 /// Decode, or rethrow the child's abort reason.
 TrainResult decode_result(std::span<const std::uint8_t> bytes) {
-  BlobReader in{bytes};
+  // A short file surfaces as a pointed error, never as UB.
+  net::ByteReader in{bytes, "node result blob truncated"};
   if (in.u32() != kResultMagic) {
     throw std::runtime_error("node result blob: bad magic");
   }
@@ -173,8 +129,8 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
   if (!ok) throw std::runtime_error(reason);
   TrainResult r;
   r.iterations_run = std::size_t(in.u64());
-  r.final_accuracy = in.f64();
-  r.final_loss = in.f64();
+  r.final_accuracy = f64(in);
+  r.final_loss = f64(in);
   r.rejected_payloads = in.u64();
   r.gradients_served = in.u64();
   r.gradients_computed = in.u64();
@@ -197,8 +153,8 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t i = 0; i < curve_n; ++i) {
     EvalPoint p;
     p.iteration = std::size_t(in.u64());
-    p.accuracy = in.f64();
-    p.loss = in.f64();
+    p.accuracy = f64(in);
+    p.loss = f64(in);
     r.curve.push_back(p);
   }
   const std::uint64_t counts_n = in.u64();
@@ -209,9 +165,9 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t i = 0; i < align_n; ++i) {
     AlignmentSample a;
     a.iteration = std::size_t(in.u64());
-    a.cos_phi = in.f64();
-    a.max_diff1 = in.f64();
-    a.max_diff2 = in.f64();
+    a.cos_phi = f64(in);
+    a.max_diff1 = f64(in);
+    a.max_diff2 = f64(in);
     r.alignment.push_back(a);
   }
   const std::uint64_t params_len = in.u64();

@@ -29,6 +29,10 @@ Server::Server(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
       workers_(std::move(workers)),
       peer_servers_(std::move(peer_servers)),
       params_(std::make_shared<const net::Payload>(model_->parameters())) {
+  register_handlers();
+}
+
+void Server::register_handlers() {
   // The serve_* calls are virtual (ByzantineServer corrupts plaintext);
   // the codec wraps them here so corruption happens before encoding.
   cluster_.register_handler(id_, kGetModel, [this](const net::Request& req) {
@@ -45,27 +49,17 @@ Server::Server(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
                             });
 }
 
-void Server::rejoin() {
+void Server::rejoin(std::uint64_t iteration) {
   {
     util::MutexLock lock(mutex_);
+    rejoin_floor_ = iteration;
     model_ring_.clear();
     aggr_ring_.clear();
     reply_cache_.clear();
     arg_cache_.clear();
     gossip_residual_.clear();
   }
-  cluster_.register_handler(id_, kGetModel, [this](const net::Request& req) {
-    return encode_result(serve_model(req), /*state_class=*/true);
-  });
-  cluster_.register_handler(id_, kGetAggrGrad,
-                            [this](const net::Request& req) {
-                              return encode_result(serve_aggr_grad(req),
-                                                   /*state_class=*/false);
-                            });
-  cluster_.register_handler(id_, kGetCheckpoint,
-                            [this](const net::Request& req) {
-                              return serve_checkpoint(req);
-                            });
+  register_handlers();
 }
 
 net::PayloadPtr Server::snapshot() const {
@@ -189,35 +183,45 @@ void Server::enable_step_tagged_serving() {
 }
 
 void Server::publish_model(std::uint64_t t) {
-  util::MutexLock lock(mutex_);
-  if (!tagged_models_) return;  // untagged serving never reads the ring
-  model_ring_.push_back(TaggedEntry{t, params_});
-  if (model_ring_.size() > kRingDepth) model_ring_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    if (!tagged_models_) return;  // untagged serving never reads the ring
+    model_ring_.push_back(TaggedEntry{t, params_});
+    if (model_ring_.size() > kRingDepth) model_ring_.pop_front();
+  }
+  // After the lock: the woken handlers take it.
+  cluster_.wake(id_);
 }
 
 void Server::publish_aggr_grad(std::uint64_t tag, net::Payload grad) {
-  util::MutexLock lock(mutex_);
-  auto payload = std::make_shared<const net::Payload>(std::move(grad));
-  aggr_ring_.push_back(TaggedEntry{tag, payload});
-  if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
-  // Encode the gossip frame NOW, in publish order — the peer's own loop
-  // order, which every backend reproduces. Deferring to first serve would
-  // let request arrival order (real transports race) decide the
-  // error-feedback residual sequence, leaking transport timing into the
-  // learning trajectory. serve_aggr_grad then hits this cache; the
-  // bytes_saved charge stays at serve time, when a frame actually ships.
-  if (!codec_.identity()) {
-    reply_cache_.push_back(EncodedFrame{
-        payload, std::make_shared<const net::Payload>(codec_.encode_gradient(
-                     *payload, &gossip_residual_))});
-    if (reply_cache_.size() > kRingDepth) reply_cache_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    auto payload = std::make_shared<const net::Payload>(std::move(grad));
+    aggr_ring_.push_back(TaggedEntry{tag, payload});
+    if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+    // Encode the gossip frame NOW, in publish order — the peer's own loop
+    // order, which every backend reproduces. Deferring to first serve
+    // would let request arrival order (real transports race) decide the
+    // error-feedback residual sequence, leaking transport timing into the
+    // learning trajectory. serve_aggr_grad then hits this cache; the
+    // bytes_saved charge stays at serve time, when a frame actually ships.
+    if (!codec_.identity()) {
+      reply_cache_.push_back(EncodedFrame{
+          payload, std::make_shared<const net::Payload>(
+                       codec_.encode_gradient(*payload, &gossip_residual_))});
+      if (reply_cache_.size() > kRingDepth) reply_cache_.pop_front();
+    }
   }
+  cluster_.wake(id_);
 }
 
 void Server::skip_aggr_grad(std::uint64_t tag) {
-  util::MutexLock lock(mutex_);
-  aggr_ring_.push_back(TaggedEntry{tag, nullptr});
-  if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    aggr_ring_.push_back(TaggedEntry{tag, nullptr});
+    if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+  }
+  cluster_.wake(id_);
 }
 
 void Server::update_model(const net::Payload& aggregated_gradient) {
@@ -257,8 +261,17 @@ std::uint64_t Server::steps_taken() const {
 std::uint64_t Server::rejected_payloads() const { return rejected_.load(); }
 
 net::HandlerResult Server::serve_tagged(const std::deque<TaggedEntry>& ring,
-                                        std::uint64_t tag,
+                                        const net::Request& req,
                                         bool serve_oldest_on_eviction) const {
+  // Below the rejoin floor: the resumed loop will never publish it. A
+  // decline, as from the crashed node, rather than a park until the
+  // deadline — or, once the ring fills, the post-recovery state served
+  // under a pre-crash tag. Gossip tags encode more than the iteration, so
+  // the floor compares the training iteration the request carries.
+  if (req.window_iteration.value_or(req.iteration) < rejoin_floor_) {
+    return net::HandlerResult::none();
+  }
+  const std::uint64_t tag = req.iteration;
   if (ring.empty() || ring.back().tag < tag) {
     // Not published yet — this replica has not reached iteration `tag`.
     return net::HandlerResult::not_ready();
@@ -285,7 +298,7 @@ net::HandlerResult Server::serve_tagged(const std::deque<TaggedEntry>& ring,
 net::HandlerResult Server::serve_model(const net::Request& req) {
   util::MutexLock lock(mutex_);
   if (tagged_models_) {
-    return serve_tagged(model_ring_, req.iteration,
+    return serve_tagged(model_ring_, req,
                         /*serve_oldest_on_eviction=*/true);
   }
   return net::HandlerResult::reply(params_);
@@ -293,7 +306,7 @@ net::HandlerResult Server::serve_model(const net::Request& req) {
 
 net::HandlerResult Server::serve_aggr_grad(const net::Request& req) {
   util::MutexLock lock(mutex_);
-  return serve_tagged(aggr_ring_, req.iteration,
+  return serve_tagged(aggr_ring_, req,
                       /*serve_oldest_on_eviction=*/false);
 }
 
@@ -326,9 +339,10 @@ ByzantineServer::ByzantineServer(net::NodeId id, net::Cluster& cluster,
       model_cohort_gar_(std::move(model_cohort_gar)),
       aggr_cohort_gar_(std::move(aggr_cohort_gar)) {}
 
-net::HandlerResult ByzantineServer::corrupt(const net::Payload& honest,
+net::HandlerResult ByzantineServer::corrupt(net::HandlerResult honest,
                                             std::uint64_t iteration,
                                             const std::string& cohort_gar) {
+  if (honest.retry || !honest.payload) return honest;
   util::MutexLock lock(attack_mutex_);
   attacks::AttackContext ctx(rng_);
   ctx.iteration = iteration;
@@ -336,22 +350,19 @@ net::HandlerResult ByzantineServer::corrupt(const net::Payload& honest,
   ctx.n = declared_n_;
   ctx.f = declared_f_;
   ctx.gar = cohort_gar;
-  std::optional<net::Payload> crafted = attack_->craft(honest, ctx);
+  std::optional<net::Payload> crafted = attack_->craft(*honest.payload, ctx);
   if (!crafted) return net::HandlerResult::none();
   return net::HandlerResult::reply(std::move(*crafted));
 }
 
 net::HandlerResult ByzantineServer::serve_model(const net::Request& req) {
-  net::HandlerResult honest = Server::serve_model(req);
-  if (honest.retry || !honest.payload) return honest;
-  return corrupt(*honest.payload, req.iteration, model_cohort_gar_);
+  return corrupt(Server::serve_model(req), req.iteration, model_cohort_gar_);
 }
 
 net::HandlerResult ByzantineServer::serve_aggr_grad(
     const net::Request& req) {
-  net::HandlerResult honest = Server::serve_aggr_grad(req);
-  if (honest.retry || !honest.payload) return honest;
-  return corrupt(*honest.payload, req.iteration, aggr_cohort_gar_);
+  return corrupt(Server::serve_aggr_grad(req), req.iteration,
+                 aggr_cohort_gar_);
 }
 
 net::HandlerResult ByzantineServer::serve_checkpoint(

@@ -20,11 +20,12 @@
 // the driving loop publishes its snapshot for iteration t
 // (publish_model(t)) and peers pull exactly that iteration; a request for
 // an iteration this replica has not reached yet answers
-// HandlerResult::not_ready() and the cluster redelivers it later. This
-// makes the model-exchange round deterministic — peers aggregate
-// same-iteration states instead of whatever the replica happened to hold —
-// without ever blocking a pool thread. The same mechanism serves the
-// decentralized contract() gossip (publish_aggr_grad / skip_aggr_grad).
+// HandlerResult::not_ready(): the cluster parks it until the publication
+// wakes this node (Cluster::wake). This makes the model-exchange round
+// deterministic — peers aggregate same-iteration states instead of
+// whatever the replica happened to hold — without ever blocking a pool
+// thread. The same mechanism serves the decentralized contract() gossip
+// (publish_aggr_grad / skip_aggr_grad).
 #pragma once
 
 #include <atomic>
@@ -104,14 +105,16 @@ class Server {
 
   /// Publish the current snapshot as "this replica's model for iteration
   /// t"; peers pulling get_models(t, q) are answered from a small ring of
-  /// recent publications.
+  /// recent publications. Each publish_* / skip_* wakes the pulls parked
+  /// on this node.
   void publish_model(std::uint64_t t);
 
   /// Publish this node's contracted gradient for gossip tag `tag`.
   void publish_aggr_grad(std::uint64_t tag, net::Payload grad);
 
   /// Publish "no contribution" for gossip tag `tag` (the round was
-  /// skipped); peers receive a decline instead of retrying forever.
+  /// skipped); peers receive a decline instead of waiting out their
+  /// deadline.
   void skip_aggr_grad(std::uint64_t tag);
 
   /// SGD step with an aggregated gradient (Equation (2)).
@@ -151,14 +154,17 @@ class Server {
     return aggregation_context_;
   }
 
-  /// Come back from a crash: re-register this node's RPC handlers (a
-  /// crashed node's handlers were dropped by the cluster) and clear the
-  /// step-tagged publication rings — a restarted process has published
-  /// nothing, and serving pre-crash entries would answer peers with state
-  /// the checkpoint restore is about to overwrite. The caller (the
-  /// trainer's recovery hook) then transfers checkpointed state via
-  /// write_model / restore_optimizer_velocity.
-  void rejoin();
+  /// Come back from a crash at training iteration `iteration`:
+  /// re-register this node's RPC handlers (a crashed node's handlers were
+  /// dropped by the cluster) and clear the step-tagged publication rings —
+  /// a restarted process has published nothing, and serving pre-crash
+  /// entries would answer peers with state the checkpoint restore is about
+  /// to overwrite. `iteration` becomes the rejoin floor: tagged pulls for
+  /// an earlier iteration are declined, as a crashed node would, because
+  /// the resumed loop never publishes them. The caller (the trainer's
+  /// recovery hook) then transfers checkpointed state via write_model /
+  /// restore_optimizer_velocity.
+  void rejoin(std::uint64_t iteration);
 
   /// Payloads dropped at ingress (wrong dimension or non-finite values).
   /// A Byzantine node can send anything; malformed vectors are rejected
@@ -194,6 +200,10 @@ class Server {
     net::PayloadPtr payload;
   };
 
+  /// Register get_model / get_aggr_grad / get_checkpoint (construction
+  /// and rejoin).
+  void register_handlers();
+
   /// Keep only well-formed payloads; counts the dropped ones. Encoded
   /// codec frames are decoded first — a frame that fails the structural
   /// gate is dropped exactly like a non-finite plain payload.
@@ -225,13 +235,14 @@ class Server {
   [[nodiscard]] net::HandlerResult encode_result(net::HandlerResult r,
                                                  bool state_class);
 
-  /// Tagged lookup shared by serve_model / serve_aggr_grad: not_ready
-  /// until `tag` is published, then the ring entry. Long-evicted tags are
-  /// clamped to the oldest retained entry when `serve_oldest_on_eviction`
-  /// (model pulls — staleness is tolerable) and declined otherwise
-  /// (gossip pulls — a wrong round would corrupt the contraction).
+  /// Tagged lookup shared by serve_model / serve_aggr_grad: declined
+  /// below the rejoin floor, not_ready until the request's tag is
+  /// published, then the ring entry. Long-evicted tags are clamped to the
+  /// oldest retained entry when `serve_oldest_on_eviction` (model pulls —
+  /// staleness is tolerable) and declined otherwise (gossip pulls — a
+  /// wrong round would corrupt the contraction).
   [[nodiscard]] net::HandlerResult serve_tagged(
-      const std::deque<TaggedEntry>& ring, std::uint64_t tag,
+      const std::deque<TaggedEntry>& ring, const net::Request& req,
       bool serve_oldest_on_eviction) const GARFIELD_REQUIRES(mutex_);
 
   net::NodeId id_;
@@ -263,6 +274,8 @@ class Server {
   bool tagged_models_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<TaggedEntry> model_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<TaggedEntry> aggr_ring_ GARFIELD_GUARDED_BY(mutex_);
+  /// Training iteration of the last rejoin(); 0 before any crash.
+  std::uint64_t rejoin_floor_ GARFIELD_GUARDED_BY(mutex_) = 0;
   std::uint64_t step_ GARFIELD_GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> rejected_{0};
 };
@@ -302,10 +315,11 @@ class ByzantineServer final : public Server {
   net::HandlerResult serve_checkpoint(const net::Request& req) override;
 
  private:
-  /// Corrupt a copy of the honest payload (attacks rewrite in place; the
-  /// honest snapshot stays shared with everyone else). `cohort_gar` names
-  /// the rule the pulling peers aggregate this channel with.
-  [[nodiscard]] net::HandlerResult corrupt(const net::Payload& honest,
+  /// Corrupt a copy of the honest reply's payload (attacks rewrite in
+  /// place; the honest snapshot stays shared with everyone else). A
+  /// not-ready or declined answer passes through. `cohort_gar` names the
+  /// rule the pulling peers aggregate this channel with.
+  [[nodiscard]] net::HandlerResult corrupt(net::HandlerResult honest,
                                            std::uint64_t iteration,
                                            const std::string& cohort_gar);
 

@@ -425,8 +425,8 @@ void register_recovery(Runtime& rt, std::optional<net::NodeId> only_node) {
       if (!wanted(i)) continue;
       Server* server = rt.servers[i].get();
       Worker* worker = rt.workers[i].get();
-      rt.cluster->set_recovery_handler(i, [server, worker](std::uint64_t) {
-        server->rejoin();
+      rt.cluster->set_recovery_handler(i, [server, worker](std::uint64_t it) {
+        server->rejoin(it);
         worker->rejoin();
       });
     }
@@ -436,7 +436,7 @@ void register_recovery(Runtime& rt, std::optional<net::NodeId> only_node) {
     if (!wanted(s)) continue;
     Server* server = rt.servers[s].get();
     rt.cluster->set_recovery_handler(s, [&rt, server, s](std::uint64_t it) {
-      server->rejoin();
+      server->rejoin(it);
       // State transfer, freshest source first: live peer replicas serve
       // their sealed checkpoint blobs (digest-verified on receipt, so a
       // tampering peer is rejected, not trained on), and only when no
@@ -535,8 +535,8 @@ void run_loop(Runtime& rt, std::size_t s) {
     } else if (plan.short_quorum == ShortQuorum::kPublishSkips) {
       // Skipping the iteration must not wedge the peers: publish explicit
       // "no contribution" markers for every gossip round and the unchanged
-      // model, so their tagged pulls resolve instead of retrying into
-      // their deadline.
+      // model, so their parked pulls resolve instead of waiting out their
+      // deadline.
       for (std::size_t step = 0; step < rounds; ++step)
         server.skip_aggr_grad(gossip_tag(it, step));
       server.publish_model(it);
@@ -544,9 +544,9 @@ void run_loop(Runtime& rt, std::size_t s) {
     }
     if (model) {
       // Publish the post-gradient-step state as this replica's model for
-      // iteration `it`, then pull the peers' same-iteration states; a peer
-      // that has not reached `it` yet answers not-ready and the transport
-      // redelivers — no loop thread ever blocks on a slow replica.
+      // iteration `it`, then pull the peers' same-iteration states; a pull
+      // reaching a peer that has not published `it` yet parks there until
+      // that peer publishes — no thread ever blocks on a slow replica.
       server.publish_model(it);
       std::vector<Payload> models = server.get_models(it, plan.models->q);
       models.push_back(server.parameters());

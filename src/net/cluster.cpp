@@ -11,22 +11,12 @@ namespace garfield::net {
 
 namespace {
 
-/// First redelivery delay for a not-ready handler; doubles per attempt.
-/// The floor is deliberately tight: in the replicated deployments peers
-/// run in near-lockstep, so the answer is typically published within tens
-/// of microseconds of the first delivery — a loose floor would serialize
-/// the model-exchange round behind timer waits.
-constexpr Duration kRetryBackoffFloor{20};
-/// Redelivery backoff ceiling — keeps a long-lagging callee from being
-/// polled hot, without adding seconds of artificial latency.
-constexpr Duration kRetryBackoffCeiling{2000};
-
 /// Fault-retry layer: a lost attempt (fault:drop / fault:corrupt) is
 /// re-sent after floor * 2^attempt capped at the ceiling, plus a
 /// deterministic hash jitter in [0, backoff/2) so synchronized cohorts
 /// don't re-strike the network in lockstep. Bounded: after
-/// kMaxSendAttempts the call resolves nullptr (retry_give_ups).
-constexpr Duration kSendBackoffFloor{50};
+/// kMaxSendAttempts the call resolves nullptr (retry_give_ups). The floor,
+/// kSendBackoffFloor, is in cluster.h: the analytic plane charges it too.
 constexpr Duration kSendBackoffCeiling{5000};
 constexpr std::uint32_t kMaxSendAttempts = 8;
 
@@ -63,11 +53,18 @@ Cluster::Cluster(const Options& options)
   if (!transport_) {
     transport_ = std::make_shared<InProcTransport>(options.pool_threads);
   }
+  // Callee-side delivery, the transport's sink.
   transport_->start([this](Request request, Clock::time_point deadline,
                            Transport::Respond respond) {
-    deliver_local(std::move(request), deadline,
-                  std::make_shared<Transport::Respond>(std::move(respond)),
-                  kRetryBackoffFloor);
+    if (transport_->remote()) {
+      // A remote callee has no local loop threads driving its churn
+      // schedule: the arrival itself carries the caller's notion of
+      // training time, so advance on it. Gated on remote() so the
+      // in-process path's transition points are exactly the pre-seam ones.
+      advance_lifecycle(request.window_iteration.value_or(request.iteration));
+    }
+    dispatch(std::make_shared<Pending>(
+        Pending{std::move(request), deadline, std::move(respond)}));
   });
   // Churn schedule bootstrap: joins (and at_iter=0 crashes) are down
   // before anyone drives an iteration. Their one-shot down-edges are
@@ -95,9 +92,9 @@ Cluster::Cluster(const Options& options)
 
 Cluster::~Cluster() {
   // The transport owns the teardown order (stop wheel, flush its backlog
-  // inline, drain the pool): flushed or in-flight not-ready retries see
-  // run_after() refuse and resolve their callbacks (counted as dropped)
-  // instead of re-arming a dying timer.
+  // inline, drain the pool). The flush runs every parked request's
+  // deadline entry, which resolves it silent; a request parking after that
+  // sees run_after() refuse and resolves (counted as dropped).
   transport_->shutdown();
 }
 
@@ -114,8 +111,11 @@ void Cluster::crash_locked(NodeId node) {
   // re-register them (Server/Worker::rejoin), not just flip the state.
   // Lock order: lifecycle_mutex_ (held by our caller) before the node
   // mutex — dispatch only ever takes the node mutex, so no cycle.
-  util::MutexLock node_lock(states_[node]->mutex);
-  states_[node]->handlers.clear();
+  {
+    util::MutexLock node_lock(states_[node]->mutex);
+    states_[node]->handlers.clear();
+  }
+  wake(node);
 }
 
 void Cluster::crash(NodeId node) {
@@ -265,63 +265,93 @@ Duration Cluster::serialization_delay(NodeId from, NodeId to,
   return Duration{(start - now_us) + ser};
 }
 
-void Cluster::deliver_local(Request request,
-                            Clock::time_point retry_deadline,
-                            RespondPtr respond, Duration retry_backoff) {
-  if (transport_->remote()) {
-    // A remote callee has no local loop threads driving its churn
-    // schedule: the arrival itself carries the caller's notion of
-    // training time, so advance on it. Gated on remote() so the
-    // in-process path's transition points are exactly the pre-seam ones.
-    advance_lifecycle(request.window_iteration ? *request.window_iteration
-                                               : request.iteration);
-  }
-  NodeState& callee = *states_[request.to];
-  // A crashed callee is fail-silent: the caller never hears back. We
-  // deliver nullptr so single-call users don't hang; Collector users see
-  // it as a missing reply, preserving quorum semantics.
-  if (callee.lifecycle.load() != NodeLifecycle::kRunning) {
-    (*respond)(nullptr);
-    return;
-  }
-  Handler handler;
-  {
-    util::MutexLock lock(callee.mutex);
-    auto it = callee.handlers.find(request.method);
-    if (it != callee.handlers.end()) handler = it->second;
-  }
-  if (!handler) {
-    (*respond)(nullptr);
-    return;
-  }
-  HandlerResult result = handler(request);
-  if (result.retry) {
-    // Not ready yet: redeliver after a backoff instead of blocking a
-    // pool thread. Give up past the caller's deadline so an abandoned
-    // request cannot poll a dead-ended callee forever — a retry landing
-    // exactly AT the deadline is still a legitimate attempt.
-    if (retry_gives_up(Clock::now() + retry_backoff, retry_deadline)) {
-      (*respond)(nullptr);
+void Cluster::dispatch(PendingPtr call) {
+  NodeState& callee = *states_[call->request.to];
+  // Each pass ends in a resolution, a park, or — when a wake landed while
+  // the handler ran — another pass through the gate.
+  for (;;) {
+    // A crashed callee is fail-silent: the caller never hears back. We
+    // deliver nullptr so single-call users don't hang; Collector users see
+    // it as a missing reply, preserving quorum semantics.
+    if (callee.lifecycle.load() != NodeLifecycle::kRunning) break;
+    Handler handler;
+    std::uint64_t wakes = 0;
+    {
+      util::MutexLock lock(callee.mutex);
+      auto it = callee.handlers.find(call->request.method);
+      if (it != callee.handlers.end()) handler = it->second;
+      wakes = callee.wakes;
+    }
+    if (!handler) break;
+    HandlerResult result = handler(call->request);
+    if (!result.retry) {
+      call->respond(std::move(result.payload));
       return;
     }
-    const Duration next =
-        std::min(retry_backoff * 2, kRetryBackoffCeiling);
-    std::function<void()> task = [this, request = std::move(request),
-                                  retry_deadline, respond,
-                                  next]() mutable {
-      deliver_local(std::move(request), retry_deadline, std::move(respond),
-                    next);
-    };
-    if (!transport_->run_after(retry_backoff, std::move(task))) {
-      // Shutdown already began: count the drop and resolve so a
-      // concurrent collect() sees a response instead of hanging into its
-      // deadline.
-      dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
-      (*respond)(nullptr);
+    // Not ready: the answer is a publication the callee has not made yet.
+    // The caller's deadline goes on the wheel once, at the first park.
+    if (!call->armed) {
+      call->armed = true;
+      std::function<void()> expiry = [this,
+                                      weak = std::weak_ptr<Pending>(call)] {
+        expire(weak);
+      };
+      const auto left = std::chrono::duration_cast<Duration>(
+          call->deadline - Clock::now());
+      if (!transport_->run_after(left, std::move(expiry))) {
+        // Shutdown already began: count the drop and resolve, so a
+        // concurrent collect() sees a response instead of hanging into its
+        // deadline.
+        dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
     }
-    return;
+    {
+      util::MutexLock lock(callee.mutex);
+      if (call->expired) break;
+      if (callee.wakes == wakes) {
+        callee.parked.push_back(std::move(call));
+        return;
+      }
+    }
+    // A wake landed between the lookup and now: its publication may be
+    // the answer, so run again at once rather than park past it.
   }
-  (*respond)(std::move(result.payload));
+  call->respond(nullptr);
+}
+
+void Cluster::expire(const std::weak_ptr<Pending>& weak) {
+  const PendingPtr call = weak.lock();
+  if (!call) return;  // resolved and released
+  NodeState& callee = *states_[call->request.to];
+  {
+    util::MutexLock lock(callee.mutex);
+    auto it = std::find(callee.parked.begin(), callee.parked.end(), call);
+    if (it == callee.parked.end()) {
+      // Woken and being re-run: that run resolves it, and may not park it.
+      call->expired = true;
+      return;
+    }
+    callee.parked.erase(it);
+  }
+  call->respond(nullptr);
+}
+
+void Cluster::wake(NodeId node) {
+  assert(node < nodes_);
+  std::vector<PendingPtr> woken;
+  {
+    util::MutexLock lock(states_[node]->mutex);
+    ++states_[node]->wakes;
+    woken.swap(states_[node]->parked);
+  }
+  for (const PendingPtr& call : woken) {
+    std::function<void()> task = [this, call] { dispatch(call); };
+    if (!transport_->run_after(Duration{0}, std::move(task))) {
+      dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
+      call->respond(nullptr);
+    }
+  }
 }
 
 void Cluster::call(NodeId from, NodeId to, const std::string& method,

@@ -21,9 +21,9 @@
 //    without copying, and the Collector never copies replies beyond the
 //    awaited quorum;
 //  - a handler may answer "not ready yet" (HandlerResult::not_ready());
-//    the cluster redelivers the request after a short backoff instead of
-//    blocking a pool thread — the primitive behind step-tagged model and
-//    gossip serving;
+//    the cluster parks the request on its callee, without holding a pool
+//    thread, until the callee publishes and calls wake() — the primitive
+//    behind step-tagged model and gossip serving;
 //  - every node carries a lifecycle FSM (RUNNING -> CRASHED -> RECOVERING
 //    -> RUNNING) owned by the cluster: CRASHED and RECOVERING nodes are
 //    fail-silent (delivery refused, handlers dropped at crash time) and a
@@ -64,15 +64,21 @@ namespace garfield::net {
 /// CRASHED and RECOVERING nodes are fail-silent to every caller.
 enum class NodeLifecycle { kRunning, kCrashed, kRecovering };
 
-/// Give-up predicate for the not-ready redelivery chain: true when the
-/// next attempt, landing at `next_attempt`, would arrive after the
-/// caller's `deadline`. Strictly after — an attempt landing exactly at
-/// the deadline is still inside the contract (a `>=` here silently shaved
-/// one legitimate retry off every timeout-bounded exchange).
+/// Give-up predicate for the fault-retry layer: true when the next send
+/// attempt, landing at `next_attempt`, would arrive after the caller's
+/// `deadline`. Strictly after — an attempt landing exactly at the deadline
+/// is still inside the contract (a `>=` here silently shaved one
+/// legitimate retry off every timeout-bounded exchange).
 [[nodiscard]] inline bool retry_gives_up(Clock::time_point next_attempt,
                                          Clock::time_point deadline) {
   return next_attempt > deadline;
 }
+
+/// First backoff of the fault-retry layer: a lost attempt (fault:drop /
+/// fault:corrupt) is re-sent after this floor doubled per attempt, plus a
+/// deterministic jitter. The analytic plane (sim/deployment_sim.cpp)
+/// charges the same floor per expected resend.
+inline constexpr Duration kSendBackoffFloor{50};
 
 // Request (with its window_iteration tag), PayloadPtr, Clock and Duration
 // moved to net/transport.h — the seam needs them and this header re-exports
@@ -85,11 +91,13 @@ enum class NodeLifecycle { kRunning, kCrashed, kRecovering };
 ///              silent;
 ///  - not_ready(): the answer does not exist *yet* (e.g. a model snapshot
 ///              for an iteration this node has not reached); the cluster
-///              redelivers the request after a backoff.
+///              parks the request until Cluster::wake(callee) re-runs it,
+///              and resolves it silent if the callee crashes or the
+///              caller's deadline passes first.
 /// Throwing from a handler is a bug, not a Byzantine fault.
 struct HandlerResult {
   PayloadPtr payload;  // non-null => reply
-  bool retry = false;  // true => redeliver later
+  bool retry = false;  // true => park until the callee wakes
 
   [[nodiscard]] static HandlerResult reply(PayloadPtr p) {
     return HandlerResult{std::move(p), false};
@@ -281,6 +289,14 @@ class Cluster {
   /// no calls are in flight.
   [[nodiscard]] NetStats stats() const;
 
+  /// Re-deliver every request parked on `node` (its handler answered
+  /// not_ready) through the lifecycle gate, on the pool. The callee calls
+  /// this after publishing what the parked handlers wait for — Server's
+  /// publish_model / publish_aggr_grad / skip_aggr_grad do — and must not
+  /// hold a lock those handlers take. A handler still running when the wake
+  /// lands re-runs at once instead of parking, so no publication is missed.
+  void wake(NodeId node);
+
   /// Deterministic jitter draw: a splitmix-style hash of
   /// (seed, from, to, method, iteration) mapped to [0, jitter). Lock-free
   /// and independent of thread interleaving — two runs of the same
@@ -320,24 +336,48 @@ class Cluster {
  private:
   using Callback = std::function<void(PayloadPtr)>;
   using CallbackPtr = std::shared_ptr<Callback>;
-  using RespondPtr = std::shared_ptr<Transport::Respond>;
+
+  /// One delivered request, from arrival to its single resolution: a
+  /// reply, or silence (crashed callee, no handler, declined, deadline,
+  /// shutdown). A not_ready answer parks it on the callee's NodeState.
+  struct Pending {
+    Request request;
+    Clock::time_point deadline;
+    Transport::Respond respond;
+    /// Its deadline entry is on the timer wheel (armed at the first park).
+    /// Touched only by the thread that owns the request.
+    bool armed = false;
+    /// The deadline passed while the request was being re-run rather than
+    /// parked, so it must not park again. Guarded by the callee's
+    /// NodeState::mutex.
+    bool expired = false;
+  };
+  using PendingPtr = std::shared_ptr<Pending>;
 
   struct NodeState {
     util::Mutex mutex;
     std::unordered_map<std::string, Handler> handlers
         GARFIELD_GUARDED_BY(mutex);
-    /// Atomic rather than guarded: deliver_local() reads it lock-free on
+    /// Requests whose handler answered not_ready, waiting for wake().
+    std::vector<PendingPtr> parked GARFIELD_GUARDED_BY(mutex);
+    /// wake() calls so far. dispatch() reads it with the handler and parks
+    /// only if it is unchanged once the handler has answered.
+    std::uint64_t wakes GARFIELD_GUARDED_BY(mutex) = 0;
+    /// Atomic rather than guarded: dispatch() reads it lock-free on
     /// every delivery; the lifecycle_mutex_ serializes writers
     /// (transitions).
     std::atomic<NodeLifecycle> lifecycle{NodeLifecycle::kRunning};
   };
 
-  /// Callee-side delivery: the transport's sink. Lifecycle gate -> handler
-  /// lookup -> run -> not-ready redelivery via Transport::run_after ->
-  /// respond exactly once. Runs on a pool thread of whichever process owns
-  /// `request.to`.
-  void deliver_local(Request request, Clock::time_point retry_deadline,
-                     RespondPtr respond, Duration retry_backoff);
+  /// Lifecycle gate -> handler lookup -> run -> respond exactly once, or
+  /// park on a not_ready answer (arming the deadline entry at the first
+  /// park). Re-entered by wake(). Runs on a pool thread of whichever
+  /// process owns the callee.
+  void dispatch(PendingPtr call);
+
+  /// Deadline entry of a parked request: resolve it silent if it is still
+  /// parked, else flag it so the run in progress cannot park it again.
+  void expire(const std::weak_ptr<Pending>& weak);
 
   /// One send attempt of call()'s bounded retry chain: resolve the fault
   /// verdict for `attempt`, either hand the message to the transport or
@@ -358,7 +398,8 @@ class Cluster {
                                              std::size_t frame_bytes,
                                              std::uint64_t window_iteration);
 
-  /// Any state -> CRASHED + drop handlers.
+  /// Any state -> CRASHED + drop handlers + wake the parked requests,
+  /// which the lifecycle gate then answers silent.
   void crash_locked(NodeId node) GARFIELD_REQUIRES(lifecycle_mutex_);
 
   std::size_t nodes_;

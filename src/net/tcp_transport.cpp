@@ -21,7 +21,7 @@ namespace garfield::net {
 namespace {
 
 // Frame types. Every frame body starts with one of these; the layouts are
-// fixed-width little-endian (the put/get helpers below), payloads are
+// fixed-width little-endian (net/wire.h put_u* / ByteReader), payloads are
 // net/wire blobs so they keep their magic + CRC end to end.
 constexpr std::uint8_t kFrameRequest = 1;
 constexpr std::uint8_t kFrameReply = 2;
@@ -31,64 +31,11 @@ constexpr std::uint8_t kFrameReady = 5;
 /// The sender is tearing down on purpose: its coming EOF is not a death.
 constexpr std::uint8_t kFrameBye = 6;
 
+/// WireError text for a frame body shorter than its layout claims.
+constexpr const char* kTruncatedFrame = "tcp: truncated frame body";
+
 /// How long start() waits for every sibling process to join the mesh.
 constexpr Duration kMeshDeadline{std::chrono::seconds(30)};
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(std::uint8_t(v));
-  out.push_back(std::uint8_t(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian reads; a short or lying frame is stream
-/// corruption and must surface as WireError (the reader treats it as peer
-/// death), never as UB.
-struct FrameReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw WireError("tcp: truncated frame body");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = std::uint16_t(
-        std::uint16_t(bytes[at]) | (std::uint16_t(bytes[at + 1]) << 8));
-    at += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-};
 
 /// Read exactly `n` bytes (the hello handshake, before a reader thread
 /// owns the socket). False on EOF/error.
@@ -136,7 +83,10 @@ void set_nodelay(int fd) {
 }  // namespace
 
 TcpTransport::TcpTransport(const Options& options)
-    : options_(options), rank_(options.rank), nodes_(options.nodes) {
+    : InProcTransport(options.pool_threads),
+      options_(options),
+      rank_(options.rank),
+      nodes_(options.nodes) {
   if (nodes_ == 0 || rank_ >= nodes_) {
     throw std::invalid_argument("TcpTransport: rank " +
                                 std::to_string(rank_) + " outside " +
@@ -147,13 +97,6 @@ TcpTransport::TcpTransport(const Options& options)
         "TcpTransport: ports vector does not cover every rank");
   }
   peers_.resize(nodes_);
-  std::size_t threads = options.pool_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
-  timer_ = std::make_unique<TimerWheel>(*pool_);
   {
     util::MutexLock lock(control_mutex_);
     ready_.assign(nodes_, false);
@@ -165,7 +108,7 @@ TcpTransport::TcpTransport(const Options& options)
 TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::start(DeliverFn deliver) {
-  deliver_ = std::move(deliver);
+  InProcTransport::start(std::move(deliver));
   const auto deadline = Clock::now() + kMeshDeadline;
   // Connects first: every rank's listener was bound and put into listen()
   // by the orchestrator before any process forked, so these succeed
@@ -180,10 +123,7 @@ void TcpTransport::start(DeliverFn deliver) {
                                std::strerror(errno));
     }
     set_nodelay(fd);
-    auto peer = std::make_unique<Peer>();
-    peer->fd = fd;
-    peer->alive.store(true);
-    peers_[r] = std::move(peer);
+    peers_[r] = std::make_unique<Peer>(fd);
     if (!write_frame(*peers_[r],
                      control_body(kFrameHello, std::uint32_t(rank_)))) {
       throw std::runtime_error("TcpTransport: hello to rank " +
@@ -215,8 +155,9 @@ void TcpTransport::start(DeliverFn deliver) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: peer hung up mid-hello");
     }
-    FrameReader reader{
-        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5), 0};
+    ByteReader reader{
+        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5),
+        kTruncatedFrame};
     if (reader.u8() != kFrameHello) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: first frame was not hello");
@@ -227,10 +168,7 @@ void TcpTransport::start(DeliverFn deliver) {
       throw std::runtime_error("TcpTransport: bogus hello rank " +
                                std::to_string(peer_rank));
     }
-    auto peer = std::make_unique<Peer>();
-    peer->fd = fd;
-    peer->alive.store(true);
-    peers_[peer_rank] = std::move(peer);
+    peers_[peer_rank] = std::make_unique<Peer>(fd);
   }
   ::close(options_.listen_fd);
   options_.listen_fd = -1;
@@ -240,33 +178,12 @@ void TcpTransport::start(DeliverFn deliver) {
   }
 }
 
-bool TcpTransport::send_local(Request request, Duration delay,
-                              Clock::time_point deadline, Respond on_reply) {
-  // Identical to InProcTransport::send — the loopback edge of a
-  // multi-process deployment behaves exactly like the in-process backend.
-  const std::size_t req_bytes = request_frame_bytes(request);
-  bytes_sent_.fetch_add(req_bytes, std::memory_order_relaxed);
-  bytes_received_.fetch_add(req_bytes, std::memory_order_relaxed);
-  auto respond = [this, on_reply =
-                            std::move(on_reply)](PayloadPtr payload) mutable {
-    const std::size_t bytes = reply_frame_bytes(payload);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-    on_reply(std::move(payload));
-  };
-  std::function<void()> task = [this, request = std::move(request), deadline,
-                                respond = std::move(respond)]() mutable {
-    deliver_(std::move(request), deadline, std::move(respond));
-  };
-  return run_after(delay, std::move(task));
-}
-
 bool TcpTransport::send(Request request, Duration delay,
                         Clock::time_point deadline, Respond on_reply) {
   assert(request.to < nodes_);
   if (request.to == rank_) {
-    return send_local(std::move(request), delay, deadline,
-                      std::move(on_reply));
+    return InProcTransport::send(std::move(request), delay, deadline,
+                                 std::move(on_reply));
   }
   // The sender-side simulated delay elapses before the frame is written —
   // the same point in the pipeline where the in-process backend delays
@@ -327,12 +244,6 @@ void TcpTransport::write_request(Request request, Clock::time_point deadline,
   if (!peer || !write_frame(*peer, body)) {
     resolve_pending(cid, nullptr);
   }
-}
-
-bool TcpTransport::run_after(Duration delay, std::function<void()>&& task) {
-  if (!pool_ || !timer_) return false;
-  return delay.count() <= 0 ? pool_->submit(std::move(task))
-                            : timer_->schedule_after(delay, std::move(task));
 }
 
 bool TcpTransport::write_frame(Peer& peer,
@@ -432,7 +343,9 @@ void TcpTransport::reader_loop(std::size_t peer_rank) {
 
 void TcpTransport::handle_frame(std::size_t peer_rank,
                                 std::span<const std::uint8_t> body) {
-  FrameReader reader{body, 0};
+  // A short or lying frame is stream corruption: WireError, which the
+  // reader treats as peer death.
+  ByteReader reader{body, kTruncatedFrame};
   const std::uint8_t type = reader.u8();
   switch (type) {
     case kFrameRequest: {
@@ -445,12 +358,7 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       const std::uint64_t window = reader.u64();
       if (has_window) request.window_iteration = window;
       const std::uint64_t budget_us = reader.u64();
-      const std::uint16_t method_len = reader.u16();
-      reader.need(method_len);
-      request.method.assign(
-          reinterpret_cast<const char*>(body.data() + reader.at),
-          method_len);
-      reader.at += method_len;
+      request.method = reader.str(reader.u16());
       if (reader.u8() != 0) {
         WireMessage msg = decode(body.subspan(reader.at));
         request.argument =
@@ -461,8 +369,8 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
                         std::to_string(request.to) + " arrived at rank " +
                         std::to_string(rank_));
       }
-      // Re-anchor the caller's remaining budget on local time; the
-      // not-ready redelivery chain then behaves exactly as in process.
+      // Re-anchor the caller's remaining budget on local time; a parked
+      // not-ready request then expires exactly as in process.
       const Clock::time_point deadline =
           Clock::now() + Duration(std::int64_t(budget_us));
       // Exactly-once reply, silent or not: the caller's pending entry
@@ -490,7 +398,7 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       };
       // A refused submit means shutdown: the socket teardown resolves the
       // caller via EOF, so dropping the task here is safe.
-      (void)pool_->submit(std::move(task));
+      (void)run_after(Duration{0}, std::move(task));
       break;
     }
     case kFrameReply: {
@@ -600,12 +508,9 @@ void TcpTransport::shutdown() {
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (peers_[r] && peers_[r]->reader.joinable()) peers_[r]->reader.join();
   }
-  // Then the in-process machinery, in the same order as InProcTransport:
-  // stop the wheel (flushed delayed writes see dead peers and resolve
-  // their callbacks), drain the pool, destroy both.
-  if (timer_) timer_->stop_and_flush();
-  pool_.reset();
-  timer_.reset();
+  // Then the in-process machinery: stop the wheel (flushed delayed writes
+  // see dead peers and resolve their callbacks), drain the pool.
+  InProcTransport::shutdown();
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (peers_[r] && peers_[r]->fd >= 0) {
       ::close(peers_[r]->fd);

@@ -14,13 +14,14 @@
 //    accepts, so the mesh construction cannot deadlock;
 //  - requests carry a call id, the window-iteration tag and the caller's
 //    remaining timeout budget; the callee's Cluster runs the identical
-//    lifecycle-gate -> handler -> not-ready-redelivery chain it runs in
+//    lifecycle-gate -> handler -> park-until-published path it runs in
 //    process, and every request is answered by exactly one reply frame
 //    (a silent callee sends an empty reply, so callers never hang on a
 //    crashed node);
 //  - NetworkConditions delays are applied sender-side, before the frame is
-//    written, by the same timer-wheel path the in-process backend uses —
-//    `wan:`/`hetero:`/`churn:` specs drive both backends identically;
+//    written, by the in-process backend's timer wheel and pool, which this
+//    class inherits along with its loopback path — `wan:`/`hetero:`/
+//    `churn:` specs drive both backends identically;
 //  - a corrupted frame body fails the stream prefix CRC and is discarded
 //    by the receiver's FrameDecoder — one lost message the sender's fault
 //    retry layer recovers, never a dead stream;
@@ -46,15 +47,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/thread_pool.h"
-#include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace garfield::net {
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public InProcTransport {
  public:
   struct Options {
     /// This process's node id; also its index into `ports`.
@@ -79,12 +78,14 @@ class TcpTransport final : public Transport {
   /// throws std::runtime_error if a sibling process never shows.
   void start(DeliverFn deliver) override;
 
+  /// Requests to this rank take the inherited in-process path.
   [[nodiscard]] bool send(Request request, Duration delay,
                           Clock::time_point deadline,
                           Respond on_reply) override;
-  [[nodiscard]] bool run_after(Duration delay,
-                               std::function<void()>&& task) override;
   [[nodiscard]] bool remote() const override { return true; }
+  /// Bye, close the links, join the readers, then the inherited teardown
+  /// (stop the wheel, drain the pool) — readers submit to the pool, so
+  /// they must be gone before it drains.
   void shutdown() override;
 
   // Process-level barriers, driven by the orchestrator (node_runner).
@@ -109,20 +110,17 @@ class TcpTransport final : public Transport {
 
  private:
   struct Peer {
+    explicit Peer(int socket) : fd(socket) {}
     int fd = -1;
     /// Serializes frame writes; a frame interleaved with another's bytes
     /// is stream corruption, not a race the decoder can survive.
     util::Mutex write_mutex;
     /// Cleared by the writer on EPIPE and by the reader on EOF; checked
     /// under write_mutex before every write.
-    std::atomic<bool> alive{false};
+    std::atomic<bool> alive{true};
     std::thread reader;
   };
 
-  /// Loopback fast path for request.to == rank_: byte-accounted and
-  /// scheduled exactly like InProcTransport::send.
-  [[nodiscard]] bool send_local(Request request, Duration delay,
-                                Clock::time_point deadline, Respond on_reply);
   /// Frame and write one remote request; runs after the sender-side delay.
   void write_request(Request request, Clock::time_point deadline,
                      Respond on_reply);
@@ -148,7 +146,6 @@ class TcpTransport final : public Transport {
   Options options_;
   std::size_t rank_;
   std::size_t nodes_;
-  DeliverFn deliver_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< by rank; self is null
   std::atomic<bool> down_{false};
 
@@ -167,11 +164,6 @@ class TcpTransport final : public Transport {
   std::vector<bool> done_ GARFIELD_GUARDED_BY(control_mutex_);
   /// Peers that announced their own teardown (bye frame).
   std::vector<bool> leaving_ GARFIELD_GUARDED_BY(control_mutex_);
-
-  // Same delayed-execution machinery as InProcTransport; shutdown() stops
-  // the wheel, drains the pool, then closes sockets.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<TimerWheel> timer_;
 };
 
 }  // namespace garfield::net

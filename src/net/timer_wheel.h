@@ -46,10 +46,10 @@ class TimerWheel {
   /// Stop the timer thread, then run every pending entry INLINE on the
   /// calling thread, in due order — no scheduled dispatch is silently lost
   /// at teardown, and the pool is not touched (so the owner may tear the
-  /// pool down before or after this call). After it returns,
-  /// schedule_after() refuses new entries, which lets flushed tasks that
-  /// try to re-arm (not-ready retries) observe the shutdown and resolve
-  /// instead of looping. Idempotent.
+  /// pool down before or after this call). Once it has begun,
+  /// schedule_after() refuses new entries, so flushed tasks that try to
+  /// schedule more (a fault-retry resend, a parked request's deadline)
+  /// observe the shutdown and resolve instead of looping. Idempotent.
   void stop_and_flush() GARFIELD_EXCLUDES(mutex_);
 
   /// Fire `task` on the pool once `delay` has elapsed. Returns false (task

@@ -86,11 +86,12 @@ void InProcTransport::shutdown() {
   if (down_) return;
   down_ = true;
   // Teardown order matters. First stop the wheel and run its backlog
-  // inline: from here on schedule_after() refuses new entries, so a
-  // flushed or in-flight not-ready retry resolves its callback (counted as
-  // dropped) instead of re-arming a dying timer. The pool is still alive
-  // for any zero-delay delivery a flushed task issues. Then the pool
-  // drains and joins — draining tasks that try to re-arm still see the
+  // inline: from here on schedule_after() refuses new entries. The flush
+  // runs parked requests' deadline entries (resolving them silent), and a
+  // request that parks afterwards sees run_after() refuse and resolves
+  // (counted as dropped) instead of arming a dying timer. The pool is
+  // still alive for any zero-delay delivery a flushed task schedules. Then
+  // the pool drains and joins — draining tasks still see the
   // stopped-but-alive wheel. The unique_ptrs are destroyed afterwards with
   // nothing in flight.
   timer_->stop_and_flush();

@@ -3,9 +3,9 @@
 // The paper's deployment (§4) runs each node as its own process on its own
 // machine; our Cluster grew up as a single in-process object graph. This
 // header is the boundary that lets both be true at once: Cluster resolves
-// simulated NetworkConditions delay, lifecycle gating, not-ready
-// redelivery and quorum accounting exactly as before, but hands the
-// *physical* movement of every request/reply to a Transport:
+// simulated NetworkConditions delay, lifecycle gating, not-ready parking
+// and quorum accounting exactly as before, but hands the *physical*
+// movement of every request/reply to a Transport:
 //
 //  - InProcTransport: the original timer-wheel + thread-pool path,
 //    factored out verbatim — same scheduling decisions in the same order,
@@ -17,8 +17,9 @@
 //
 // The contract is deliberately small: a callee-side delivery sink
 // (installed once by the Cluster), an async send whose callback resolves
-// exactly once, and the delayed-execution primitive the redelivery chain
-// rides on. Byte accounting lives here — both backends charge the same
+// exactly once, and the delayed-execution primitive that delayed
+// deliveries, fault-retry resends, wakes and parked requests' deadlines
+// ride on. Byte accounting lives here — both backends charge the same
 // wire-equivalent frame costs, so `bytes_sent`/`bytes_received` are
 // directly comparable across backends.
 #pragma once
@@ -81,17 +82,17 @@ struct Request {
 /// delay resolution, lifecycle gating, handler dispatch, retry backoff,
 /// stats — stays in the Cluster; a Transport only moves requests to the
 /// callee's delivery sink and replies back, and provides the delayed
-/// execution primitive both the initial (delayed) delivery and the
-/// not-ready redelivery chain ride on.
+/// execution primitive the Cluster schedules its own work on.
 class Transport {
  public:
   /// Exactly-once resolution of one delivered request. nullptr means the
-  /// callee stayed silent: crashed, declined, no handler, or the retry
-  /// chain gave up.
+  /// callee stayed silent: crashed, declined, no handler, or still not
+  /// ready at the deadline.
   using Respond = std::function<void(PayloadPtr)>;
   /// Callee-side sink installed by the Cluster via start(): runs the
-  /// lifecycle check + handler chain for `request`, with `deadline`
-  /// bounding not-ready redelivery, and invokes `respond` exactly once.
+  /// lifecycle check + handler for `request`, with `deadline` bounding
+  /// how long a not-ready request stays parked, and invokes `respond`
+  /// exactly once.
   using DeliverFn =
       std::function<void(Request request, Clock::time_point deadline,
                          Respond respond)>;
@@ -115,9 +116,8 @@ class Transport {
                                   Respond on_reply) = 0;
 
   /// Run `task` once `delay` has elapsed: on the pool directly when the
-  /// delay is not positive, via the timer otherwise. The redelivery
-  /// primitive. Returns false (task left untouched) once shutdown has
-  /// begun.
+  /// delay is not positive, via the timer otherwise. Returns false (task
+  /// left untouched) once shutdown has begun.
   [[nodiscard]] virtual bool run_after(Duration delay,
                                        std::function<void()>&& task) = 0;
 
@@ -160,8 +160,10 @@ class Transport {
 /// the TimerWheel (positive delay), and the reply is the respond callback
 /// invoked on whichever pool thread ran the handler. Scheduling decisions,
 /// their order, and the teardown sequence are bit-for-bit the pre-seam
-/// Cluster's, so existing runs are unchanged.
-class InProcTransport final : public Transport {
+/// Cluster's, so existing runs are unchanged. TcpTransport derives from it:
+/// its loopback edge, its delayed execution and its handler pool are this
+/// class's.
+class InProcTransport : public Transport {
  public:
   /// `pool_threads` == 0 sizes the pool to hardware concurrency — pool
   /// threads only run handler compute (delays live on the wheel), so more
@@ -175,10 +177,13 @@ class InProcTransport final : public Transport {
                           Respond on_reply) override;
   [[nodiscard]] bool run_after(Duration delay,
                                std::function<void()>&& task) override;
+  /// Stop the wheel (flushing its backlog inline), then drain the pool.
   void shutdown() override;
 
- private:
+ protected:
   DeliverFn deliver_;
+
+ private:
   bool down_ = false;  ///< set once by shutdown(); no concurrent callers
   // Torn down by shutdown() in the order stop-wheel -> drain-pool ->
   // destroy both, so in-flight deliveries can never re-arm a dead timer or

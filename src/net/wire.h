@@ -35,6 +35,56 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// --------------------------------------------------------- byte helpers
+//
+// The little-endian integer writer and bounds-checked reader every binary
+// layout in the tree uses: wire blobs and stream prefixes here, the TCP
+// frame envelopes, the multi-process result blob.
+
+inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  for (int i = 0; i < 2; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+
+/// Sequential little-endian reads over `bytes` from offset `at`. A read
+/// past the end throws WireError(`truncated`) — each caller names what it
+/// was parsing — never UB.
+struct ByteReader {
+  std::span<const std::uint8_t> bytes;
+  const char* truncated = "wire: truncated input";
+  std::size_t at = 0;
+
+  void need(std::size_t n) const {
+    if (bytes.size() - at < n) throw WireError(truncated);
+  }
+  std::uint8_t u8() { return std::uint8_t(read(1)); }
+  std::uint16_t u16() { return std::uint16_t(read(2)); }
+  std::uint32_t u32() { return std::uint32_t(read(4)); }
+  std::uint64_t u64() { return read(8); }
+  std::string str(std::size_t n) {
+    need(n);
+    std::string s(reinterpret_cast<const char*>(bytes.data() + at), n);
+    at += n;
+    return s;
+  }
+
+ private:
+  std::uint64_t read(std::size_t n) {
+    need(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::uint64_t(bytes[at + i]) << (8 * i);
+    }
+    at += n;
+    return v;
+  }
+};
+
 /// A decoded message.
 struct WireMessage {
   std::uint64_t iteration = 0;

@@ -1,8 +1,11 @@
 #include "sim/deployment_sim.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+
+#include "net/cluster.h"
 
 namespace garfield::sim {
 
@@ -12,12 +15,12 @@ namespace {
 /// cores (§4.1: "we parallelize the replicated communication").
 constexpr double kSerParallelism = 8.0;
 
-/// The live sender's first retry backoff (net/cluster.h
-/// kSendBackoffFloor) — the dominant per-retry cost the analytic twin
-/// charges for fault-induced resends (later attempts double it, but the
-/// geometric attempt distribution keeps the first term in charge for the
-/// small loss rates the grammar targets).
-constexpr double kRetryBackoffFloor = 50e-6;
+/// The live sender's first retry backoff, in seconds — the dominant
+/// per-retry cost the analytic twin charges for fault-induced resends
+/// (later attempts double it, but the geometric attempt distribution keeps
+/// the first term in charge for the small loss rates the grammar targets).
+constexpr double kSendBackoffFloorSeconds =
+    std::chrono::duration<double>(net::kSendBackoffFloor).count();
 
 /// What the parsed NetworkConditions do to one pull stage (see header).
 struct StageNet {
@@ -114,7 +117,7 @@ StageNet resolve_pull(const SimSetup& s, std::size_t from, std::size_t lo,
       const double p = std::min(c.fault_loss_rate(), 0.99);
       const double edge_latency =
           s.link.latency + c.latency_seconds(s.iteration);
-      net.wait += p / (1.0 - p) * (kRetryBackoffFloor + edge_latency) +
+      net.wait += p / (1.0 - p) * (kSendBackoffFloorSeconds + edge_latency) +
                   c.fault_spike_seconds();
     }
   }

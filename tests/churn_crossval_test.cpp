@@ -21,6 +21,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -348,10 +349,55 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
   // NOT serve the stale entry — the pull for tag 1 declines again until
   // the recovered replica republishes it.
   replica.publish_model(1);
-  replica.rejoin();
+  replica.rejoin(1);
   EXPECT_TRUE(pull(1).empty());
   replica.publish_model(1);
   EXPECT_EQ(pull(1).size(), 1u);
+}
+
+TEST(ChurnLive, RecoveredReplicaDeclinesTagsBelowItsRejoinFloor) {
+  // A replica recovered at iteration 5 resumes its loop there and never
+  // publishes an earlier tag: pulls below the floor are declined at once,
+  // as a crashed node's would be, instead of parking until the deadline.
+  // Tags at or above the floor park until published, then are served.
+  gn::Cluster::Options opts;
+  opts.nodes = 2;
+  gn::Cluster cluster(opts);
+  garfield::tensor::Rng r0(22), r1(22);
+  gc::Server puller(0, cluster, garfield::nn::make_model("tiny_mlp", r0), {},
+                    {}, {1});
+  gc::Server replica(1, cluster, garfield::nn::make_model("tiny_mlp", r1),
+                     {}, {}, {0});
+  replica.enable_step_tagged_serving();
+  for (std::uint64_t t = 0; t < 4; ++t) replica.publish_model(t);
+  replica.rejoin(5);
+  const std::vector<gn::NodeId> peers{1};
+  const auto pull = [&](const char* method, std::uint64_t tag,
+                        std::uint64_t iteration) {
+    return cluster.collect(0, peers, method, tag, nullptr, 1,
+                           std::chrono::seconds(30), iteration);
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pull(gc::kGetModel, 3, 3).empty());
+  EXPECT_TRUE(pull(gc::kGetModel, 4, 4).empty());
+  // Gossip tags encode (iteration, round); the floor reads the iteration.
+  EXPECT_TRUE(pull(gc::kGetAggrGrad, 4 * 2 + 1, 4).empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(5));
+
+  // At the floor: parked until the recovered replica publishes it.
+  std::vector<gn::Reply> at_floor;
+  std::thread waiter([&] { at_floor = pull(gc::kGetModel, 5, 5); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  replica.publish_model(5);
+  waiter.join();
+  EXPECT_EQ(at_floor.size(), 1u);
+  replica.publish_aggr_grad(5 * 2, garfield::net::Payload(
+                                       replica.dimension(), 0.25F));
+  EXPECT_EQ(pull(gc::kGetAggrGrad, 5 * 2, 5).size(), 1u);
+  replica.publish_model(6);
+  EXPECT_EQ(pull(gc::kGetModel, 6, 6).size(), 1u);
 }
 
 // ---------------------------------------------- below-floor loud abort

@@ -3,32 +3,39 @@
 //
 // The churn/lifecycle tests elsewhere exercise a handful of hand-picked
 // trajectories; this suite explores the *schedule space*. Every concurrent
-// history of the lifecycle plane is some interleaving of three primitives —
+// history of the lifecycle plane is some interleaving of a few primitives —
 // advance_lifecycle(iter) calls (any loop thread, any iteration order),
-// message deliveries, and the manual crash/begin_recovery/complete_recovery
-// edges — and because each primitive is executed to completion here
-// (pool_threads=1, zero simulated delay, wait-per-callback), every distinct
-// *order* of primitives is a distinct logical interleaving of the real
+// message deliveries, the manual crash/begin_recovery/complete_recovery
+// edges, and the wakes that re-run parked not-ready requests — and because
+// each primitive is executed to completion here (pool_threads=1, zero
+// simulated delay, wait-per-callback), every distinct *order* of
+// primitives is a distinct logical interleaving of the real
 // implementation, not of a model of it.
 //
-// Two explorers:
+// Three explorers:
 //  - an exhaustive pass over every manual-edge sequence of depth 4 on two
-//    nodes (6^4 = 1296 schedules), cross-checked against a shadow FSM, and
+//    nodes (6^4 = 1296 schedules), cross-checked against a shadow FSM,
 //  - a seeded DFS over advance/delivery interleavings of a two-event churn
 //    schedule (budget 12'000 distinct schedules), cross-checked against
 //    the NetworkConditions membership predicate `churn_down` — the same
 //    oracle the analytic plane uses, so live FSM and sim plane cannot
-//    drift apart anywhere in the explored space.
+//    drift apart anywhere in the explored space, and
+//  - an exhaustive pass over park/wake/publish/crash/recover/new-request
+//    sequences, including a publication landing between a handler's
+//    answer and its park, ending in the callers' deadline or in transport
+//    shutdown (6^4 + 6^3 = 1512 schedules), cross-checked against a shadow
+//    of the parked requests.
 //
-// Together the two passes explore >= 10'000 distinct schedules. Invariants
+// Together the passes explore >= 10'000 distinct schedules. Invariants
 // checked on every schedule:
 //  - no delivery to a non-RUNNING node (fail-silent: nullptr reply, the
 //    handler never fires);
 //  - the recovery edges are strict (CRASHED -> RECOVERING -> RUNNING;
 //    anything else throws std::logic_error and leaves the state unchanged);
 //  - advance_lifecycle never parks a node mid-recovery;
-//  - the not-ready redelivery chain terminates (gives up at the deadline,
-//    bounded attempts);
+//  - every request resolves exactly once — reply, crash, deadline or
+//    shutdown — and a parked request runs its handler once per wake, never
+//    on a timer;
 //  - the below-floor churn abort fires deterministically with a
 //    byte-identical diagnostic.
 #include <gtest/gtest.h>
@@ -46,6 +53,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -357,26 +365,324 @@ TEST(LifecycleModelCheck, SeededDfsOverChurnScheduleInterleavings) {
   RecordProperty("seed", std::to_string(seed));
 }
 
-// ------------------------------------------------- redelivery termination
+// ------------------------------------------------------ parked requests
 
-TEST(LifecycleModelCheck, NotReadyRedeliveryTerminatesOnceReady) {
-  std::atomic<int> attempts{0};
+namespace {
+
+/// Wait (bounded) until `pred` holds; the explorers execute each primitive
+/// to completion before the next.
+template <typename Pred>
+bool settle(Pred pred) {
+  const auto deadline = gn::Clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (gn::Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(LifecycleModelCheck, ParkedRequestRunsOncePerWake) {
+  std::atomic<int> runs{0};
+  std::atomic<bool> published{false};
   gn::Cluster::Options opt;
   opt.nodes = 2;
   opt.pool_threads = 1;
   gn::Cluster cluster(opt);
-
-  cluster.register_handler(0, "probe", [&attempts](const gn::Request&) {
-    // Becomes ready on the 6th attempt; the redelivery chain (20us backoff
-    // doubling per retry) must carry the request there, not drop it.
-    if (attempts.fetch_add(1) + 1 < 6) return gn::HandlerResult::not_ready();
+  cluster.register_handler(0, "probe", [&](const gn::Request&) {
+    runs.fetch_add(1);
+    if (!published.load()) return gn::HandlerResult::not_ready();
     return gn::HandlerResult::reply(gn::Payload{1.0F});
   });
 
-  const gn::PayloadPtr reply =
-      deliver(cluster, 1, 0, /*iteration=*/0, std::chrono::seconds(5));
-  ASSERT_NE(reply, nullptr);
-  EXPECT_EQ(attempts.load(), 6);
+  std::promise<gn::PayloadPtr> done;
+  std::future<gn::PayloadPtr> reply = done.get_future();
+  cluster.call(1, 0, "probe", 0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               std::chrono::seconds(30));
+  // Five wakes without a publication: exactly one run each, and nothing
+  // in between — no timer re-runs a parked request.
+  for (int wakes = 0; wakes <= 5; ++wakes) {
+    ASSERT_TRUE(settle([&] { return runs.load() >= 1 + wakes; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(runs.load(), 1 + wakes);
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    if (wakes < 5) cluster.wake(0);
+  }
+  published.store(true);
+  cluster.wake(0);
+  ASSERT_NE(reply.get(), nullptr);
+  EXPECT_EQ(runs.load(), 7);
+}
+
+namespace {
+
+/// Park-plane alphabet. Every request asks node 0 for a tag; node 0 serves
+/// tags up to `published` and parks the rest.
+enum ParkOp : int {
+  kWake,      // wake(0), nothing new published
+  kPublish,   // ++published, then wake(0) — what Server::publish_* do
+  kRaceWake,  // wake(0); the first re-run publishes after reading "not
+              // published" and before parking — the lost-wakeup window
+  kCrash,     // crash(0): parked requests resolve silent through the gate
+  kRecover,   // begin_recovery + re-register + complete_recovery (if down)
+  kRequest,   // a new pull for the next unpublished tag
+  kParkOps
+};
+enum class ParkEnd { kDeadline, kShutdown };
+
+/// Shadow of one request: its tag and its expected resolution.
+struct ShadowCall {
+  int tag = 0;
+  bool resolved = false;
+  bool replied = false;
+};
+
+/// What the real cluster did to one request.
+struct LiveCall {
+  std::atomic<int> resolutions{0};
+  std::atomic<int> reply_tag{-1};  // -1: resolved silent (or not yet)
+};
+
+struct ParkRun {
+  std::string error;  // empty: every invariant held
+  bool slow = false;  // the prefix outran the deadline's headroom
+};
+
+std::string park_schedule_name(const std::vector<int>& schedule,
+                               ParkEnd end) {
+  static constexpr const char* kNames[] = {"wake",  "publish", "race",
+                                           "crash", "recover", "request"};
+  std::string name;
+  for (int op : schedule) name += std::string(kNames[op]) + ",";
+  return name + (end == ParkEnd::kDeadline ? "deadline" : "shutdown");
+}
+
+/// Replay one schedule on a fresh 2-node cluster: two pulls (tags 1, 2)
+/// park on node 0, then the ops run, then the ending resolves whatever is
+/// still parked. The shadow predicts every handler run and resolution;
+/// the live cluster must match it and resolve each request exactly once.
+ParkRun run_park_schedule(const std::vector<int>& schedule, ParkEnd end) {
+  using std::chrono::milliseconds;
+  const gn::Duration timeout = end == ParkEnd::kDeadline
+                                   ? gn::Duration(milliseconds(150))
+                                   : gn::Duration(std::chrono::seconds(30));
+  // Declared before the cluster: handler and callback captures must
+  // outlive its teardown flush.
+  std::atomic<int> published{0};
+  std::atomic<int> runs{0};
+  std::atomic<bool> publish_in_run{false};
+  std::vector<std::unique_ptr<LiveCall>> live;
+
+  std::vector<ShadowCall> shadow;
+  bool up = true;
+  int shadow_published = 0;
+  int shadow_runs = 0;
+  ParkRun out;
+  const std::string name = park_schedule_name(schedule, end);
+  const auto fail = [&](const std::string& what) {
+    if (out.error.empty()) out.error = name + ": " + what;
+  };
+
+  auto cluster = std::make_unique<gn::Cluster>([] {
+    gn::Cluster::Options opt;
+    opt.nodes = 2;
+    opt.pool_threads = 1;
+    return opt;
+  }());
+  const auto handler = [&](const gn::Request& req) {
+    runs.fetch_add(1);
+    const bool ready = int(req.iteration) <= published.load();
+    if (publish_in_run.exchange(false)) {
+      published.fetch_add(1);
+      cluster->wake(0);
+    }
+    if (!ready) return gn::HandlerResult::not_ready();
+    return gn::HandlerResult::reply(gn::Payload{float(req.iteration)});
+  };
+  cluster->register_handler(0, "probe", handler);
+  const auto started = gn::Clock::now();
+
+  // Shadow step shared by wake and publish: every parked request runs once
+  // and replies iff its tag is published.
+  const auto shadow_wake = [&] {
+    for (ShadowCall& c : shadow) {
+      if (c.resolved) continue;
+      ++shadow_runs;
+      if (c.tag <= shadow_published) c.resolved = c.replied = true;
+    }
+  };
+  const auto send_pull = [&](int tag) {
+    live.push_back(std::make_unique<LiveCall>());
+    LiveCall* call = live.back().get();
+    shadow.push_back(ShadowCall{tag});
+    if (up) {
+      ++shadow_runs;
+    } else {
+      shadow.back().resolved = true;  // the gate answers silent
+    }
+    cluster->call(1, 0, "probe", std::uint64_t(tag), nullptr,
+                  [call](gn::PayloadPtr p) {
+                    if (p) call->reply_tag.store(int((*p)[0]));
+                    call->resolutions.fetch_add(1);
+                  },
+                  timeout);
+  };
+  // After each primitive: the live cluster reaches the shadow's run count
+  // and resolutions, and nothing beyond them.
+  const auto check = [&](const char* when) {
+    const bool settled = settle([&] {
+      if (runs.load() < shadow_runs) return false;
+      for (std::size_t i = 0; i < shadow.size(); ++i) {
+        if (shadow[i].resolved && live[i]->resolutions.load() == 0) {
+          return false;
+        }
+      }
+      return true;
+    });
+    if (!settled) fail(std::string("did not settle ") + when);
+    if (runs.load() != shadow_runs) {
+      fail(std::string("handler runs ") + std::to_string(runs.load()) +
+           " != " + std::to_string(shadow_runs) + " " + when);
+    }
+    for (std::size_t i = 0; i < shadow.size(); ++i) {
+      const int resolutions = live[i]->resolutions.load();
+      if (resolutions != (shadow[i].resolved ? 1 : 0)) {
+        fail("request " + std::to_string(i) + " resolved " +
+             std::to_string(resolutions) + "x " + when);
+      }
+      if (shadow[i].resolved && resolutions == 1 &&
+          (live[i]->reply_tag.load() == shadow[i].tag) != shadow[i].replied) {
+        fail("request " + std::to_string(i) + " got the wrong answer " +
+             when);
+      }
+    }
+  };
+
+  send_pull(1);
+  send_pull(2);
+  check("after the initial pulls");
+  for (int op : schedule) {
+    switch (op) {
+      case kWake:
+        cluster->wake(0);
+        if (up) shadow_wake();
+        break;
+      case kPublish:
+        published.fetch_add(1);
+        ++shadow_published;
+        cluster->wake(0);
+        if (up) shadow_wake();
+        break;
+      case kRaceWake: {
+        // The first parked request's re-run reads the old publication,
+        // publishes, and must then run again instead of parking; the rest
+        // of the woken batch runs once after the publication.
+        const auto parked = std::find_if(
+            shadow.begin(), shadow.end(),
+            [](const ShadowCall& c) { return !c.resolved; });
+        if (up && parked != shadow.end()) {
+          publish_in_run.store(true);
+          ++shadow_published;
+          ++shadow_runs;  // the stale run
+        }
+        cluster->wake(0);
+        if (up) shadow_wake();
+        break;
+      }
+      case kCrash:
+        cluster->crash(0);
+        up = false;
+        for (ShadowCall& c : shadow) c.resolved = true;
+        break;
+      case kRecover:
+        if (!up) {
+          cluster->begin_recovery(0);
+          cluster->register_handler(0, "probe", handler);
+          cluster->complete_recovery(0);
+          up = true;
+        }
+        break;
+      default:
+        send_pull(shadow_published + 1);
+        break;
+    }
+    check("after an op");
+  }
+  out.slow = gn::Clock::now() - started >= timeout / 2;
+  if (end == ParkEnd::kDeadline) {
+    // Every request still parked resolves silent at its deadline, and no
+    // timer re-ran a handler on the way there.
+    for (ShadowCall& c : shadow) c.resolved = true;
+    check("at the deadline");
+  } else {
+    cluster.reset();  // the teardown flush resolves the parked requests
+    for (ShadowCall& c : shadow) c.resolved = true;
+    check("at shutdown");
+  }
+  cluster.reset();
+  check("after teardown");
+  return out;
+}
+
+}  // namespace
+
+TEST(LifecycleModelCheck, ParkedRequestsResolveExactlyOnceInEveryInterleaving) {
+  // Shutdown endings: every sequence of 4 ops (6^4 = 1296 schedules).
+  // Deadline endings: every sequence of 3 ops (6^3 = 216), run in small
+  // concurrent batches since each waits out a 150 ms deadline.
+  const auto schedules_of = [](int depth) {
+    std::vector<std::vector<int>> all;
+    int total = 1;
+    for (int d = 0; d < depth; ++d) total *= kParkOps;
+    for (int code = 0; code < total; ++code) {
+      std::vector<int> schedule(std::size_t(depth), 0);
+      int rest = code;
+      for (int& op : schedule) {
+        op = rest % kParkOps;
+        rest /= kParkOps;
+      }
+      all.push_back(std::move(schedule));
+    }
+    return all;
+  };
+  // A schedule whose prefix ate half the deadline's headroom (an
+  // overloaded machine) could expire a request early; it reruns instead
+  // of failing, and a failure on an unhurried run is final.
+  const auto run_checked = [](const std::vector<int>& schedule, ParkEnd end) {
+    ParkRun run;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      run = run_park_schedule(schedule, end);
+      if (run.error.empty() || !run.slow) break;
+    }
+    return run.error;
+  };
+
+  std::size_t explored = 0;
+  for (const std::vector<int>& schedule : schedules_of(4)) {
+    const std::string error = run_checked(schedule, ParkEnd::kShutdown);
+    ASSERT_TRUE(error.empty()) << error;
+    ++explored;
+  }
+  const std::vector<std::vector<int>> deadline_schedules = schedules_of(3);
+  constexpr std::size_t kBatch = 16;
+  for (std::size_t lo = 0; lo < deadline_schedules.size(); lo += kBatch) {
+    std::vector<std::future<std::string>> batch;
+    for (std::size_t i = lo;
+         i < std::min(lo + kBatch, deadline_schedules.size()); ++i) {
+      batch.push_back(std::async(std::launch::async, run_checked,
+                                 deadline_schedules[i], ParkEnd::kDeadline));
+    }
+    for (auto& result : batch) {
+      const std::string error = result.get();
+      EXPECT_TRUE(error.empty()) << error;
+      ++explored;
+    }
+  }
+  EXPECT_EQ(explored, 1512u);
+  RecordProperty("schedules_explored", std::to_string(explored));
 }
 
 TEST(LifecycleModelCheck, NeverReadyRedeliveryGivesUpAtTheDeadline) {

@@ -1,6 +1,7 @@
 // Tests for garfield::net — thread pool, timer wheel, pull-RPC, fastest-q
-// collection, crash and straggler injection, not-ready redelivery, traffic
-// accounting (including wasted replies and teardown drops).
+// collection, crash and straggler injection, parking of not-ready requests
+// until a wake, traffic accounting (including wasted replies and teardown
+// drops).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -253,24 +254,102 @@ TEST(Cluster, HandlerMayDeclineToReply) {
   EXPECT_FALSE(done.get_future().get());
 }
 
-TEST(Cluster, NotReadyHandlerIsRedelivered) {
+namespace {
+
+/// Wait (bounded) until `counter` reaches `target`.
+bool wait_for_count(const std::atomic<int>& counter, int target) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (counter.load() < target) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(100us);
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(Cluster, ParkedHandlerRunsOncePerWakeAndNeverOnATimer) {
   gn::Cluster cluster(small_cluster(2));
-  std::atomic<int> attempts{0};
-  cluster.register_handler(1, "later", [&attempts](const gn::Request&) {
-    // Not ready for the first three deliveries; answers on the fourth.
-    if (attempts.fetch_add(1) < 3) return gn::HandlerResult::not_ready();
+  std::atomic<int> runs{0};
+  std::atomic<bool> published{false};
+  cluster.register_handler(1, "later", [&](const gn::Request&) {
+    runs.fetch_add(1);
+    if (!published.load()) return gn::HandlerResult::not_ready();
     return gn::HandlerResult::reply(gn::Payload{9.0F});
   });
-  std::vector<gn::NodeId> peers{1};
-  auto replies = cluster.collect(0, peers, "later", 0, nullptr, 1, 5s);
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_FLOAT_EQ((*replies[0].payload)[0], 9.0F);
-  EXPECT_GE(attempts.load(), 4);
-  // Only the final delivery produced a reply; redeliveries are not new
-  // requests.
+  std::promise<gn::PayloadPtr> done;
+  auto reply = done.get_future();
+  cluster.call(0, 1, "later", 0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               30s);
+  // One run, then parked: a timer-driven poll would have re-run it many
+  // times over the quiet period.
+  ASSERT_TRUE(wait_for_count(runs, 1));
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(reply.wait_for(0s), std::future_status::timeout);
+  // A wake with nothing published re-runs it exactly once; it parks again.
+  cluster.wake(1);
+  ASSERT_TRUE(wait_for_count(runs, 2));
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(reply.wait_for(0s), std::future_status::timeout);
+  // Publish, then wake: one more run answers.
+  published.store(true);
+  cluster.wake(1);
+  ASSERT_EQ(reply.wait_for(5s), std::future_status::ready);
+  const gn::PayloadPtr payload = reply.get();
+  ASSERT_TRUE(payload);
+  EXPECT_FLOAT_EQ((*payload)[0], 9.0F);
+  EXPECT_EQ(runs.load(), 3);
+  // Re-runs are not new requests.
   const gn::NetStats stats = cluster.stats();
   EXPECT_EQ(stats.requests_sent, 1u);
   EXPECT_EQ(stats.replies_received, 1u);
+}
+
+TEST(Cluster, WakeDuringTheHandlerRunsItAgainInsteadOfParking) {
+  // The publication lands after the handler read "not published" but
+  // before the park: the wake finds nothing parked, so the run itself must
+  // notice the wake and go again — else it parks past its answer until
+  // the deadline.
+  gn::Cluster cluster(small_cluster(2));
+  std::atomic<int> runs{0};
+  std::atomic<bool> published{false};
+  cluster.register_handler(1, "later", [&](const gn::Request&) {
+    if (runs.fetch_add(1) == 0) {
+      published.store(true);
+      cluster.wake(1);
+      return gn::HandlerResult::not_ready();
+    }
+    return gn::HandlerResult::reply(gn::Payload{float(published.load())});
+  });
+  std::vector<gn::NodeId> peers{1};
+  const auto start = std::chrono::steady_clock::now();
+  auto replies = cluster.collect(0, peers, "later", 0, nullptr, 1, 30s);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FLOAT_EQ((*replies[0].payload)[0], 1.0F);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+}
+
+TEST(Cluster, CrashResolvesParkedRequestsSilent) {
+  gn::Cluster cluster(small_cluster(2));
+  std::atomic<int> runs{0};
+  cluster.register_handler(1, "never", [&runs](const gn::Request&) {
+    runs.fetch_add(1);
+    return gn::HandlerResult::not_ready();
+  });
+  std::promise<gn::PayloadPtr> done;
+  auto reply = done.get_future();
+  cluster.call(0, 1, "never", 0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               30s);
+  ASSERT_TRUE(wait_for_count(runs, 1));
+  cluster.crash(1);
+  ASSERT_EQ(reply.wait_for(5s), std::future_status::ready);
+  EXPECT_FALSE(reply.get());
+  EXPECT_EQ(runs.load(), 1);  // the gate answered, not the handler
 }
 
 TEST(Cluster, PerpetuallyNotReadyResolvesAtTheCallTimeout) {

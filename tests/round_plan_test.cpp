@@ -19,6 +19,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -192,6 +193,24 @@ TEST(RoundPlanGolden, DecentralizedPeerCrashRecovers) {
   gc::DeploymentConfig cfg = decentralized();
   cfg.network = "churn:crash=2,at_iter=5,recover_after=5";
   EXPECT_EQ(digest(run(cfg).final_parameters), "957a9fbb643290d8");
+}
+
+TEST(RoundPlanChurn, DecentralizedPeerRecoveryNeverWaitsOutThePullDeadline) {
+  // A lagging peer's pull for a pre-crash iteration can reach the recovered
+  // peer, which resumes past it and never publishes it. Declined at the
+  // rejoin floor, that pull costs nothing; left waiting for a publication
+  // it would hold the lagging peer — and, through it, the recovered one —
+  // for the whole 30 s pull deadline. Whether a pull lands there is timing,
+  // so the cell repeats.
+  gc::DeploymentConfig cfg = decentralized();
+  cfg.network = "churn:crash=2,at_iter=5,recover_after=5";
+  for (int repeat = 0; repeat < 8; ++repeat) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string d = digest(run(cfg).final_parameters);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(d, "957a9fbb643290d8") << "repeat " << repeat;
+    EXPECT_LT(elapsed, std::chrono::seconds(5)) << "repeat " << repeat;
+  }
 }
 
 // ------------------------------------------------ reporter and failover
